@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test race perfbench-test bench bench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
 ci: fmt vet lint build test race
 
@@ -39,6 +39,13 @@ test:
 # the root package adds the bench drivers and trace plumbing.
 race:
 	$(GO) test -race . ./internal/...
+
+# perfbench is its own Go module (perfbench/go.mod), so the root
+# `go test ./...` never reaches its smoke tests — among them serve's
+# per-tenant replay and its LiveBytes == OwnedBytes self-check. About
+# 3 s.
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=readonly $(GO) test ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .

@@ -5,6 +5,8 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
@@ -503,5 +505,90 @@ func benchMinorFull(b *testing.B, minor bool) {
 		} else {
 			w.Collect()
 		}
+	}
+}
+
+// --- Tenants: per-denial and per-eviction cost by tenant count ---
+
+// fleetObjs is every fleet tenant's budget, in 8-word objects.
+const fleetObjs = 4
+
+// tenantFleet is a world holding n budgeted tenants of one policy, each
+// with its whole budget allocated and rooted in its own root slots —
+// the steady state of a full serving fleet.
+type tenantFleet struct {
+	w  *World
+	ts []*Tenant
+	ms []*Mutator
+}
+
+func newTenantFleet(b *testing.B, n int, policy TenantPolicy) *tenantFleet {
+	b.Helper()
+	w, err := NewWorld(Config{InitialHeapBytes: 16 << 20, ReserveHeapBytes: 64 << 20, GCDivisor: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bytes := n * fleetObjs * WordBytes
+	roots, err := w.Space.MapNew("roots", KindData, 0x2000, bytes, bytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := &tenantFleet{w: w}
+	for i := 0; i < n; i++ {
+		t := w.NewTenant(TenantConfig{BudgetBytes: fleetObjs * 8 * WordBytes, Policy: policy})
+		m := t.NewMutator()
+		for j := 0; j < fleetObjs; j++ {
+			at := Addr(0x2000 + (i*fleetObjs+j)*WordBytes)
+			if _, err := m.AllocateRooted(roots, at, 8, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.ts, f.ms = append(f.ts, t), append(f.ms, m)
+	}
+	w.Collect() // flush every handle's carved remainder
+	return f
+}
+
+var fleetSizes = []int{100, 10000}
+
+// BenchmarkTenantDeny measures one fail-policy denial against a fleet
+// of full budgets: the over-budget slow path, whose cost should not
+// depend on how many other tenants share the heap.
+func BenchmarkTenantDeny(b *testing.B) {
+	for _, n := range fleetSizes {
+		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
+			f := newTenantFleet(b, n, TenantFail)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.ms[i%n].Allocate(8, false); !errors.Is(err, ErrBudgetExceeded) {
+					b.Fatalf("over-budget allocation: err = %v, want ErrBudgetExceeded", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTenantEvict measures one eviction (the evict policy's
+// over-budget allocation: flush, free every owned object, credit)
+// against a fleet of full budgets. Once half the fleet is evicted a
+// fresh fleet is built off the clock, so every eviction runs with
+// between n/2 and n live tenants.
+func BenchmarkTenantEvict(b *testing.B) {
+	for _, n := range fleetSizes {
+		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
+			b.StopTimer()
+			var f *tenantFleet
+			for i := 0; i < b.N; i++ {
+				k := i % (n / 2)
+				if k == 0 {
+					b.StopTimer()
+					f = newTenantFleet(b, n, TenantEvict)
+					b.StartTimer()
+				}
+				if _, err := f.ms[k].Allocate(8, false); !errors.Is(err, ErrTenantEvicted) {
+					b.Fatalf("over-budget allocation: err = %v, want ErrTenantEvicted", err)
+				}
+			}
+		})
 	}
 }

@@ -263,6 +263,9 @@ type blockDesc struct {
 	ignoreOffPage bool
 	allocBits     []uint64
 	markBits      []uint64
+	// owners holds the owning tenant id per slot (owners.go); nil until
+	// a budgeted tenant's object is tagged here.
+	owners []int32
 }
 
 // span is a run of free blocks [start, start+n).
@@ -353,12 +356,10 @@ type Allocator struct {
 	lineSpans   [64]Span
 	linePartial [64][]int
 	lineFreed   [64][]mem.Addr
-	// Per-tenant ownership attribution (owners.go): owned maps object
-	// base addresses to the tenant that allocated them, ownerCredit
-	// returns a dead object's bytes to its tenant. nil/unused until the
-	// first budgeted tenant tags an object — untenanted worlds pay
-	// nothing.
-	owned       map[mem.Addr]ownerRec
+	// Per-tenant ownership attribution (owners.go): ownerBlocks[id]
+	// lists the blocks tenant id has tagged, ownerCredit returns a dead
+	// or freed object's bytes to its tenant.
+	ownerBlocks [][]int
 	ownerCredit func(id int32, objects, bytes uint64)
 	// hullLo/hullHi cache the reserved-range hull over all extents:
 	// every address any extent could ever commit lies in [hullLo,

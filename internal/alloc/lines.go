@@ -272,6 +272,7 @@ func (a *Allocator) freeLineSlot(bi int, b *blockDesc, base mem.Addr, slot, word
 			return fmt.Errorf("alloc: Free(%#x): not allocated", uint32(base))
 		}
 	}
+	a.creditOwner(b, slot)
 	if bitGet(b.markBits, slot) {
 		bitClear(b.markBits, slot)
 		b.markedCount--
@@ -374,6 +375,9 @@ func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 	s0 := int(cursor-a.blockBase(bi)) / slotBytes
 	for i := 0; i < n; i++ {
 		bitClear(b.allocBits, s0+i)
+		if b.owners != nil {
+			b.owners[s0+i] = 0 // carved for a tenant, never consumed: no credit
+		}
 		// Drop any mark bit too (born-grey carves and conservative
 		// mid-cycle hits both set them): a returned slot must not count
 		// toward markedCount, which sweeps treat as the live survey.

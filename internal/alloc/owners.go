@@ -1,126 +1,172 @@
 package alloc
 
-import "repro/internal/mem"
+import (
+	"math/bits"
+	"sort"
+
+	"repro/internal/mem"
+)
 
 // Per-tenant byte attribution (core's multi-tenant serving layer, see
-// DESIGN.md section 5i). The allocator keeps an optional side table
-// mapping object base addresses to the tenant that allocated them, so
-// over-budget policies can credit a tenant when its objects die and an
-// eviction can enumerate exactly the objects a tenant still owns.
+// DESIGN.md section 5i), kept as block-local side metadata like the
+// mark bits: a block holding a budgeted tenant's object carries an
+// owners array, one tenant id per slot (one entry for a large object),
+// 0 for unowned. Charged bytes are not stored: they are the block's
+// objWords × WordBytes, exactly what the tenant was charged.
 //
-// The table is nil until the first TagOwner call: worlds that never
-// create a budgeted tenant pay nothing — no map, no lookups, no change
-// to any allocation path (the unbudgeted-tenant differential test pins
-// this bit-for-bit). All methods are called under the world's central
-// lock (and, where they read block state, inside lockHeapLocked), like
-// every other allocator mutation.
+// Owners change only under the world's central lock: a carve tags its
+// slots (TagOwner), a flush untags the unconsumed ones (ReturnRun,
+// ReturnSpan), Free credits the freed object's owner, and each sweep
+// barrier credits the owner of every slot it condemns (creditDead) —
+// at the classification, so a lazily swept tenant's budget never waits
+// for the deferred sweep. A non-zero entry therefore always marks an
+// allocated, uncondemned slot. Each tenant also lists the blocks it
+// tagged (stale entries tolerated, compacted when walked or outgrown),
+// so eviction and OwnedBytes visit only the tenant's own blocks. The
+// arrays stay nil in worlds without budgeted tenants.
 
-// ownerRec is one owned object: the owning tenant and the bytes its
-// allocation charged (the padded class size for small and typed
-// objects, the exact word size for large ones — the same value the
-// central BytesAllocated accounting used).
-type ownerRec struct {
-	id    int32
-	bytes uint64
-}
-
-// SetOwnerCredit installs the callback ReconcileOwners and TagOwner
-// displacement use to return a dead object's bytes to its tenant.
+// SetOwnerCredit installs the callback that returns a dead or freed
+// owned object's bytes to its tenant.
 func (a *Allocator) SetOwnerCredit(fn func(id int32, objects, bytes uint64)) {
 	a.ownerCredit = fn
 }
 
-// TagOwner records that the object at base is owned by tenant id and
-// charged the given bytes. A stale record at the same address (the
-// slot died, was reconciled late or never, and was reallocated) is
-// credited back to its previous owner first, so attribution can never
-// leak across a reallocation.
-func (a *Allocator) TagOwner(base mem.Addr, id int32, bytes uint64) {
-	if a.owned == nil {
-		a.owned = make(map[mem.Addr]ownerRec)
+// ownerSlot returns the owners index of the object at base in block bi.
+func (a *Allocator) ownerSlot(bi int, b *blockDesc, base mem.Addr) int {
+	if b.state != blockSmall {
+		return 0
 	}
-	if old, ok := a.owned[base]; ok && a.ownerCredit != nil {
-		a.ownerCredit(old.id, 1, old.bytes)
-	}
-	a.owned[base] = ownerRec{id: id, bytes: bytes}
+	return int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
 }
 
-// UntagOwner drops the ownership record at base without crediting
-// anyone: the slot was carved for a tenant's cache but never consumed
-// (safepoint flushes return such slots to the central free lists).
-func (a *Allocator) UntagOwner(base mem.Addr) {
-	if a.owned != nil {
-		delete(a.owned, base)
+// TagOwner records that the object (or carved slot) at base is owned by
+// tenant id.
+func (a *Allocator) TagOwner(base mem.Addr, id int32) {
+	bi := a.blockIndex(base)
+	b := &a.blocks[bi]
+	if b.owners == nil {
+		n := 1
+		if b.state == blockSmall {
+			n = slotsPerBlock(int(b.objWords))
+		}
+		b.owners = make([]int32, n)
+	}
+	b.owners[a.ownerSlot(bi, b, base)] = id
+	for int(id) >= len(a.ownerBlocks) {
+		a.ownerBlocks = append(a.ownerBlocks, nil)
+	}
+	l := a.ownerBlocks[id]
+	if len(l) > 0 && l[len(l)-1] == bi {
+		return // a carve tags runs of slots in one block
+	}
+	if len(l) == cap(l) && len(l) > 0 {
+		// Full: compact, and double the capacity unless that freed half
+		// of it, so compaction stays amortised O(1) per append.
+		if l = a.ownedBlocks(id); len(l) > cap(l)/2 {
+			l = append(make([]int, 0, 2*cap(l)), l...)
+		}
+	}
+	a.ownerBlocks[id] = append(l, bi)
+}
+
+// creditOwner clears the owner of a freed or condemned slot and credits
+// it.
+func (a *Allocator) creditOwner(b *blockDesc, slot int) {
+	if b.owners == nil || b.owners[slot] == 0 {
+		return
+	}
+	id := b.owners[slot]
+	b.owners[slot] = 0
+	if a.ownerCredit != nil {
+		a.ownerCredit(id, 1, uint64(b.objWords)*mem.WordBytes)
 	}
 }
 
-// TakeOwner removes and returns the ownership record at base, for an
-// explicit Free that credits the tenant immediately.
-func (a *Allocator) TakeOwner(base mem.Addr) (id int32, bytes uint64, ok bool) {
-	rec, ok := a.owned[base]
-	if ok {
-		delete(a.owned, base)
+// creditDead credits the owner of every slot of small block b the sweep
+// barrier is about to reclaim (allocated, unmarked): one owners read
+// per dead slot.
+func (a *Allocator) creditDead(b *blockDesc) {
+	if b.owners == nil {
+		return
 	}
-	return rec.id, rec.bytes, ok
+	for wi, am := range b.allocBits {
+		for dead := am &^ b.markBits[wi]; dead != 0; dead &= dead - 1 {
+			a.creditOwner(b, wi<<6+bits.TrailingZeros64(dead))
+		}
+	}
 }
 
-// ReconcileOwners walks the ownership table and credits every record
-// whose object is no longer allocated — swept by the cycle that just
-// finished, or classified dead by a lazy barrier (IsAllocated reads a
-// pending-sweep block's mark bits, so reconciliation does not wait for
-// the demand sweep). Returns the total objects and bytes credited.
-// Called at collection barriers and before over-budget policy
-// decisions; a no-op (nil map) until the first budgeted tenant.
-func (a *Allocator) ReconcileOwners() (objects, bytes uint64) {
-	for base, rec := range a.owned {
-		if a.IsAllocated(base) {
+// ownedBlocks compacts tenant id's block list in place — sorted,
+// deduplicated, and stripped of blocks where it owns nothing — and
+// returns it.
+func (a *Allocator) ownedBlocks(id int32) []int {
+	if int(id) >= len(a.ownerBlocks) {
+		return nil
+	}
+	l := a.ownerBlocks[id]
+	sort.Ints(l)
+	out := l[:0]
+	for i, bi := range l {
+		if i > 0 && bi == l[i-1] {
 			continue
 		}
-		delete(a.owned, base)
-		objects++
-		bytes += rec.bytes
-		if a.ownerCredit != nil {
-			a.ownerCredit(rec.id, 1, rec.bytes)
+		for _, o := range a.blocks[bi].owners {
+			if o == id {
+				out = append(out, bi)
+				break
+			}
 		}
 	}
-	return objects, bytes
-}
-
-// OwnedOf returns the base addresses of every object tenant id still
-// owns, in unspecified order (eviction frees them all; order does not
-// affect reclamation totals).
-func (a *Allocator) OwnedOf(id int32) []mem.Addr {
-	var out []mem.Addr
-	for base, rec := range a.owned {
-		if rec.id == id {
-			out = append(out, base)
-		}
-	}
+	a.ownerBlocks[id] = out
 	return out
 }
 
-// OwnedBytes sums the charged bytes of every object tenant id still
-// owns — after a full sweep and reconcile it must equal the tenant's
-// live-byte counter exactly (the attribution-drift invariant the SLO
-// test asserts).
-func (a *Allocator) OwnedBytes(id int32) uint64 {
-	var sum uint64
-	for _, rec := range a.owned {
-		if rec.id == id {
-			sum += rec.bytes
+// ownedSlots calls fn with the base address and charged bytes of every
+// object tenant id owns, in ascending address order.
+func (a *Allocator) ownedSlots(id int32, fn func(base mem.Addr, bytes uint64)) {
+	for _, bi := range a.ownedBlocks(id) {
+		b := &a.blocks[bi]
+		objBytes := int(b.objWords) * mem.WordBytes
+		for slot, o := range b.owners {
+			if o == id {
+				fn(a.blockBase(bi)+mem.Addr(slot*objBytes), uint64(objBytes))
+			}
 		}
 	}
+}
+
+// OwnedBytes sums the charged bytes of every object (and carved slot)
+// tenant id owns. With the tenant's caches flushed it equals the
+// tenant's live-byte counter exactly.
+func (a *Allocator) OwnedBytes(id int32) uint64 {
+	var sum uint64
+	a.ownedSlots(id, func(_ mem.Addr, bytes uint64) { sum += bytes })
 	return sum
 }
 
-// OwnerOf returns the tenant owning the object at base, if any — the
-// per-object view the retention watcher uses to build per-tenant
-// attribution keys (OwnedOf/OwnedBytes are the per-tenant views).
-func (a *Allocator) OwnerOf(base mem.Addr) (id int32, ok bool) {
-	rec, ok := a.owned[base]
-	return rec.id, ok
+// FreeOwned frees every object tenant id owns, reachable or not —
+// eviction — crediting each, and drops the tenant's block list. The
+// tenant's caches must be flushed first.
+func (a *Allocator) FreeOwned(id int32) {
+	var objs []mem.Addr
+	a.ownedSlots(id, func(base mem.Addr, _ uint64) { objs = append(objs, base) })
+	for _, p := range objs {
+		a.Free(p)
+	}
+	if int(id) < len(a.ownerBlocks) {
+		a.ownerBlocks[id] = nil
+	}
 }
 
-// HasOwners reports whether any ownership records exist (the
-// collection barrier skips reconciliation entirely when none do).
-func (a *Allocator) HasOwners() bool { return len(a.owned) > 0 }
+// OwnerOf returns the tenant owning the object at base, if any: the
+// retention watcher's per-object attribution.
+func (a *Allocator) OwnerOf(base mem.Addr) (id int32, ok bool) {
+	if !a.InCommitted(base) {
+		return 0, false
+	}
+	bi := a.blockIndex(base)
+	if b := &a.blocks[bi]; b.owners != nil {
+		id = b.owners[a.ownerSlot(bi, b, base)]
+	}
+	return id, id != 0
+}

@@ -112,6 +112,9 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 		b := &a.blocks[bi]
 		slot := int(p-a.blockBase(bi)) / (words * mem.WordBytes)
 		bitClear(b.allocBits, slot)
+		if b.owners != nil {
+			b.owners[slot] = 0 // carved for a tenant, never consumed: no credit
+		}
 		// A returned slot may carry a mark bit: born-grey allocation
 		// marks whole carved runs during a concurrent cycle, and a
 		// conservative root can mark an outstanding slot mid-cycle.

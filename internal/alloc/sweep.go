@@ -163,6 +163,7 @@ func (a *Allocator) sweep(clearMarks bool) SweepResult {
 			} else {
 				r.ObjectsFreed++
 				r.BytesFreed += uint64(int(b.objWords) * mem.WordBytes)
+				a.creditOwner(b, 0)
 				a.releaseSpan(bi, n)
 				r.BlocksReleased += n
 				a.stats.BlocksDedicated -= n
@@ -175,6 +176,9 @@ func (a *Allocator) sweep(clearMarks bool) SweepResult {
 			freed := int(b.liveSlots) - live
 			r.ObjectsFreed += uint64(freed)
 			r.BytesFreed += uint64(freed) * objBytes
+			if freed > 0 {
+				a.creditDead(b)
+			}
 			if live == 0 {
 				a.releaseSpan(bi, 1)
 				r.BlocksReleased++
@@ -244,6 +248,7 @@ func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
 			} else {
 				r.ObjectsFreed++
 				r.BytesFreed += uint64(int(b.objWords) * mem.WordBytes)
+				a.creditOwner(b, 0)
 				a.releaseSpan(bi, n)
 				r.BlocksReleased += n
 				a.stats.BlocksDedicated -= n
@@ -257,6 +262,11 @@ func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
 			freed := int(b.liveSlots) - live
 			r.ObjectsFreed += uint64(freed)
 			r.BytesFreed += uint64(freed) * objBytes
+			if freed > 0 {
+				// Owners are credited here, at classification: the
+				// deferred sweep only clears already-condemned bits.
+				a.creditDead(b)
+			}
 			if live == 0 {
 				a.releaseSpan(bi, 1)
 				r.BlocksReleased++
@@ -485,9 +495,9 @@ func (a *Allocator) CountMarked() (objects uint64, bytes uint64) {
 }
 
 // Free explicitly deallocates the object at base, like the original
-// collector's GC_free. The paper's leak-detection usage mixes explicit
-// deallocation with collection; tests also use Free to construct
-// specific heap shapes.
+// collector's GC_free, crediting its owning tenant (if any) at once.
+// The paper's leak-detection usage mixes explicit deallocation with
+// collection; tests also use Free to construct specific heap shapes.
 func (a *Allocator) Free(base mem.Addr) error {
 	if !a.InCommitted(base) {
 		return fmt.Errorf("alloc: Free(%#x): not a heap address", uint32(base))
@@ -500,6 +510,7 @@ func (a *Allocator) Free(base mem.Addr) error {
 		if base != a.blockBase(bi) {
 			return fmt.Errorf("alloc: Free(%#x): not an object base", uint32(base))
 		}
+		a.creditOwner(b, 0)
 		n := int(b.spanLen)
 		a.releaseSpan(bi, n)
 		a.stats.BlocksDedicated -= n
@@ -545,6 +556,7 @@ func (a *Allocator) Free(base mem.Addr) error {
 		if a.isLineBlock(b) {
 			return a.freeLineSlot(bi, b, base, slot, words)
 		}
+		a.creditOwner(b, slot)
 		bitClear(b.allocBits, slot)
 		if bitGet(b.markBits, slot) {
 			bitClear(b.markBits, slot)

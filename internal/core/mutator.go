@@ -280,9 +280,6 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 
 	var p mem.Addr
 	var err error
-	// tagged records that p already carries its owner tag (the carve
-	// paths tag every carved slot, including the one handed out now).
-	tagged := false
 	if nwords >= 1 && !alloc.IsLarge(nwords) && !w.cfg.Incremental {
 		class, words := alloc.ClassFor(nwords)
 		idx := class
@@ -320,16 +317,6 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 						w.Heap.Mark(p)
 					}
 				}
-				if m.ten != nil && m.ten.budgeted() {
-					// Tag every carved slot with the owning tenant: the
-					// first is consumed now (charged above), the rest as
-					// the fast path hands them out. Safepoint flushes
-					// untag whatever returns unconsumed.
-					for p := s.Cursor; p < s.Limit; p += slotBytes {
-						w.Heap.TagOwner(p, m.ten.id, uint64(words)*mem.WordBytes)
-					}
-					tagged = true
-				}
 				m.recordSpanRefillLocked(idx, int((s.Limit-s.Cursor)/slotBytes), words)
 				return s.Cursor, nil
 			}
@@ -351,20 +338,12 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 						w.Heap.Mark(s)
 					}
 				}
-				if m.ten != nil && m.ten.budgeted() {
-					// Tag every carved slot (see the span carve above).
-					for _, s := range run {
-						w.Heap.TagOwner(s, m.ten.id, uint64(words)*mem.WordBytes)
-					}
-					tagged = true
-				}
 				m.recordRefillLocked(idx, len(run), words)
 				return run[0], nil
 			}
 		}
 		desperate := func() (mem.Addr, error) {
 			carved = false
-			tagged = false
 			c.run = c.run[:0]
 			c.next = 0
 			c.cursor, c.limit = 0, 0
@@ -375,6 +354,17 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			// AllocRun defers stats to consumption; run[0] was just
 			// handed out.
 			w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
+			if m.ten != nil && m.ten.budgeted() {
+				// The fast path hands the cached slots out charged but
+				// lock-free, so they are tagged now; a flush untags the
+				// ones that return unconsumed.
+				for _, s := range c.run[c.next:] {
+					w.Heap.TagOwner(s, m.ten.id)
+				}
+				for s := c.cursor; s < c.limit; s += mem.Addr(words * mem.WordBytes) {
+					w.Heap.TagOwner(s, m.ten.id)
+				}
+			}
 		}
 	} else {
 		// Large objects, and every allocation in incremental mode
@@ -392,10 +382,8 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 	}
 	if t := m.ten; t != nil {
 		t.noteAlloc(tenCharge)
-		if t.budgeted() && !tagged {
-			// Large, incremental-mode and desperate allocations come
-			// from no carve; tag the object itself.
-			w.Heap.TagOwner(p, t.id, tenCharge)
+		if t.budgeted() {
+			w.Heap.TagOwner(p, t.id)
 		}
 	}
 	if dst != nil {
@@ -482,7 +470,7 @@ func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64) {
 	}
 	t.noteAlloc(tenCharge)
 	if t.budgeted() {
-		m.w.Heap.TagOwner(p, t.id, tenCharge)
+		m.w.Heap.TagOwner(p, t.id)
 	}
 }
 
@@ -496,20 +484,10 @@ func (m *Mutator) Free(base mem.Addr) error {
 	defer w.mu.Unlock()
 	m.flushLocked()
 	defer m.resyncLocked()
+	// An explicit free credits the owning tenant immediately, through
+	// the allocator's owner-credit callback.
 	var err error
-	var ownerID int32
-	var ownerBytes uint64
-	var owned bool
-	w.lockHeapLocked(func() {
-		if err = w.Heap.Free(base); err == nil {
-			ownerID, ownerBytes, owned = w.Heap.TakeOwner(base)
-		}
-	})
-	if owned {
-		// An explicit free credits the owning tenant immediately — no
-		// need to wait for a collection barrier to reconcile it.
-		w.creditTenant(ownerID, 1, ownerBytes)
-	}
+	w.lockHeapLocked(func() { err = w.Heap.Free(base) })
 	return err
 }
 
@@ -603,16 +581,10 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 	c := &m.caches[idx]
 	rest := len(c.run) - c.next
 	if rest > 0 {
-		if m.ten != nil && m.ten.budgeted() {
-			// Unconsumed slots were tagged at carve but never charged;
-			// drop the tags without credit before the slots rejoin the
-			// free lists.
-			for _, s := range c.run[c.next:] {
-				m.w.Heap.UntagOwner(s)
-			}
-		}
 		// Free-list threading is a heap-structure mutation: exclude any
 		// detached mark workers (bare call outside a detached phase).
+		// ReturnRun also drops the tenant tags of the unconsumed slots,
+		// which were never charged.
 		m.w.lockHeapLocked(func() {
 			m.w.Heap.ReturnRun(c.words, idx >= alloc.NumClasses, c.run[c.next:])
 		})
@@ -620,13 +592,9 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 	c.run = c.run[:0]
 	c.next = 0
 	if c.cursor < c.limit {
-		if m.ten != nil && m.ten.budgeted() {
-			for p, step := c.cursor, mem.Addr(c.words*mem.WordBytes); p < c.limit; p += step {
-				m.w.Heap.UntagOwner(p)
-			}
-		}
-		// Line profile: clear the span tail's alloc bits and requeue its
-		// block, so the very next carve re-issues the same cursor.
+		// Line profile: clear the span tail's alloc bits (and tenant
+		// tags) and requeue its block, so the very next carve re-issues
+		// the same cursor.
 		m.w.lockHeapLocked(func() {
 			rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
 		})

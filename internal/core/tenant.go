@@ -24,10 +24,11 @@ import (
 //
 // Charging points. The cached fast path charges with one CAS before
 // consuming a slot (a failed charge diverts to the slow path); the
-// slow path charges under the central lock before allocating, after
-// first crediting any owned objects that already died (the allocator's
-// ownership table, alloc/owners.go, maps each consumed object back to
-// its tenant). Unbudgeted tenants (BudgetBytes == 0) skip both the
+// slow path charges under the central lock before allocating. The
+// allocator tags each consumed object with its tenant in a per-block
+// side array (alloc/owners.go), and the sweep barrier that condemns an
+// object credits its owner on the spot, so the live counter is exact at
+// every charge. Unbudgeted tenants (BudgetBytes == 0) skip both the
 // charge and the ownership tagging entirely, so the plumbing provably
 // costs nothing when unused — the differential test pins an unbudgeted
 // tenant bit-identical to a bare Mutator.
@@ -42,8 +43,9 @@ type TenantPolicy int
 
 const (
 	// TenantFail denies the allocation with a *BudgetError as soon as
-	// crediting already-dead owned objects cannot make room: the
-	// hard-limit contract, exact at the budget boundary.
+	// the charge does not fit (every owned object the last collection
+	// condemned is already credited): the hard-limit contract, exact at
+	// the budget boundary.
 	TenantFail TenantPolicy = iota
 	// TenantCollectFirst runs a full collection (plus any deferred
 	// sweep) to reclaim the tenant's dead objects before deciding; it
@@ -169,13 +171,6 @@ func (w *World) NewTenant(cfg TenantConfig) *Tenant {
 		t.cfg.Name = fmt.Sprintf("tenant-%d", t.id)
 	}
 	w.met.tenants.Set(int64(len(w.tenants)))
-	if cfg.BudgetBytes > 0 && !w.ownerCreditSet {
-		// First budgeted tenant: install the credit path that returns a
-		// dead owned object's bytes to its tenant. Worlds that never get
-		// here keep a nil ownership table and pay nothing.
-		w.ownerCreditSet = true
-		w.Heap.SetOwnerCredit(w.creditTenant)
-	}
 	return t
 }
 
@@ -228,10 +223,10 @@ func (t *Tenant) Stats() TenantStats {
 	}
 }
 
-// OwnedBytes returns the bytes of objects the allocator's ownership
-// table still attributes to the tenant. After a full collection,
-// FinishSweep and barrier reconcile this equals Stats().LiveBytes
-// exactly — the zero-attribution-drift invariant the SLO test gates.
+// OwnedBytes returns the bytes the allocator's owner side arrays still
+// attribute to the tenant. With its handles' caches flushed (after any
+// stop-the-world collection) this equals Stats().LiveBytes exactly —
+// the zero-attribution-drift invariant the SLO test gates.
 func (t *Tenant) OwnedBytes() uint64 {
 	w := t.w
 	w.mu.Lock()
@@ -285,10 +280,10 @@ func (t *Tenant) noteAlloc(bytes uint64) {
 }
 
 // creditTenant returns reclaimed bytes to a tenant's budget and
-// reclamation counters; it is the allocator's owner-credit callback
-// (fired per dead object by ReconcileOwners and tag displacement) and
-// the explicit-free/eviction credit path. Credited bytes were always
-// charged first, so the subtraction cannot underflow.
+// reclamation counters; it is the allocator's owner-credit callback,
+// fired by the sweep barrier for condemned objects and by Free for
+// explicitly freed and evicted ones. Credited bytes were always charged
+// first, so the subtraction cannot underflow.
 func (w *World) creditTenant(id int32, objects, bytes uint64) {
 	if id < 1 || int(id) > len(w.tenants) {
 		return
@@ -318,9 +313,9 @@ func tenantChargeBytes(nwords int) uint64 {
 }
 
 // tenantChargeLocked is the slow path's charge: cancellation check,
-// then the charge, then — over budget — the remedies in order of
-// cost: credit already-dead owned objects; for collect-first, a full
-// collection plus deferred sweep; for evict, wholesale eviction.
+// then the charge, then — over budget — the policy: for collect-first,
+// a full collection plus deferred sweep; for evict, wholesale
+// eviction; for fail, the denial.
 // Callers hold w.mu (never any m.mu). A nil return means bytes were
 // charged (or the tenant is unbudgeted) and the caller may allocate;
 // it must uncharge if the allocation then fails.
@@ -337,12 +332,6 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 	if t.tryCharge(bytes) {
 		return nil
 	}
-	// Objects swept since the last barrier reconcile (or classified
-	// dead by a lazy barrier) may already cover the charge.
-	w.lockHeapLocked(func() { w.Heap.ReconcileOwners() })
-	if t.tryCharge(bytes) {
-		return nil
-	}
 	switch t.cfg.Policy {
 	case TenantCollectFirst:
 		t.forcedGCs.Add(1)
@@ -356,13 +345,10 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 			w.stwFinishIncremental()
 		}
 		w.stwCollect()
-		// The barrier reconciled eagerly-swept objects; under lazy or
-		// concurrent sweep some blocks are still pending, so land them
-		// and reconcile once more for an exact verdict.
-		w.lockHeapLocked(func() {
-			w.Heap.FinishSweep()
-			w.Heap.ReconcileOwners()
-		})
+		// The barrier credited every owned object it condemned, so the
+		// verdict is exact already; landing the deferred sweep here
+		// charges it to the forcing tenant, not the next cycle's pause.
+		w.lockHeapLocked(func() { w.Heap.FinishSweep() })
 		if t.tryCharge(bytes) {
 			return nil
 		}
@@ -387,8 +373,8 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 // in-flight cycle (freeing objects mid-mark would hand dangling work
 // to the background markers), flush the tenant's caches (carved but
 // unconsumed slots return to the free lists instead of being freed),
-// then free every object the tenant still owns and credit the bytes.
-// Callers hold w.mu and no m.mu.
+// then free every object the tenant still owns — a walk of the
+// tenant's own blocks — crediting each. Callers hold w.mu and no m.mu.
 func (w *World) evictTenantLocked(t *Tenant) {
 	t.cancelled.Store(true)
 	t.evicted.Store(true)
@@ -404,21 +390,9 @@ func (w *World) evictTenantLocked(t *Tenant) {
 		tm.resyncLocked()
 		tm.mu.Unlock()
 	}
-	var objects, bytes uint64
+	objects, bytes := t.reclObjects.Load(), t.reclBytes.Load()
 	w.lockHeapLocked(func() {
-		// Land deferred sweeps first: a pending block's bits still
-		// encode the previous cycle's liveness, and crediting dead
-		// objects now shrinks the explicit free list walk below.
-		w.Heap.FinishSweep()
-		w.Heap.ReconcileOwners()
-		for _, base := range w.Heap.OwnedOf(t.id) {
-			if err := w.Heap.Free(base); err != nil {
-				continue
-			}
-			_, b, _ := w.Heap.TakeOwner(base)
-			objects++
-			bytes += b
-		}
+		w.Heap.FreeOwned(t.id)
 		// Line profile: Free parks slots on the freed LIFO with their
 		// alloc bits still set (so a reallocation reuses them first).
 		// Eviction must be exact — and the victim's roots may still
@@ -426,7 +400,7 @@ func (w *World) evictTenantLocked(t *Tenant) {
 		// cycle — so land the flush barrier that drops the bits now.
 		w.Heap.FlushSpans()
 	})
-	w.creditTenant(t.id, objects, bytes)
+	objects, bytes = t.reclObjects.Load()-objects, t.reclBytes.Load()-bytes
 	w.met.tenantEvictions.Inc()
 	if w.tracer.Enabled() {
 		w.tracer.Emit(trace.EvTenantEvict, int64(t.id), int64(objects), int64(bytes))

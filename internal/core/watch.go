@@ -254,7 +254,6 @@ func (w *World) watchTotalsLocked(rw *retWatch) (map[string]watch.Totals, map[st
 			reps[key] = base
 		}
 	}
-	hasOwners := w.Heap.HasOwners()
 	// Block-state reads (ObjectSpan) are excluded against detached
 	// sweepers, like every other barrier-time heap read.
 	w.lockHeapLocked(func() {
@@ -265,10 +264,8 @@ func (w *World) watchTotalsLocked(rw *retWatch) (map[string]watch.Totals, map[st
 			if rw.cfg.Label != nil {
 				add("label:"+rw.cfg.Label(base), bytes, base)
 			}
-			if hasOwners {
-				if id, ok := w.Heap.OwnerOf(base); ok && id >= 1 && int(id) <= len(w.tenants) {
-					add("tenant:"+w.tenants[id-1].Name(), bytes, base)
-				}
+			if id, ok := w.Heap.OwnerOf(base); ok && int(id) <= len(w.tenants) {
+				add("tenant:"+w.tenants[id-1].Name(), bytes, base)
 			}
 		}
 	})

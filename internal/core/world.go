@@ -463,12 +463,8 @@ type World struct {
 	reclaimed      []mem.Addr
 	hook           func(CollectionStats)
 	// Multi-tenant serving state (tenant.go): tenants in creation order
-	// (a Tenant's id is its 1-based index here); ownerCreditSet records
-	// that the allocator's owner-credit callback was installed (done
-	// lazily by the first budgeted tenant, so untenanted worlds keep a
-	// nil ownership table).
-	tenants        []*Tenant
-	ownerCreditSet bool
+	// (a Tenant's id is its 1-based index here).
+	tenants []*Tenant
 
 	// Observability (see DESIGN.md section 5c). tracer is nil unless
 	// SetTracer/EnableTracing installed one: every emit site nil-checks,
@@ -864,14 +860,6 @@ func (w *World) GCTraceSummary() string {
 // and — under ConcurrentSweep — hand the cycle's deferred sweep
 // backlog to a background sweeper once the world resumes.
 func (w *World) fireHook() {
-	if w.Heap.HasOwners() {
-		// Tenant policy hook at the collection barrier: credit each
-		// tenant for the owned objects this cycle reclaimed (a lazy
-		// barrier's pending blocks reconcile from their mark bits), so
-		// budgets free up without waiting for the owner's next
-		// over-budget slow path. No-op for untenanted worlds.
-		w.lockHeapLocked(func() { w.Heap.ReconcileOwners() })
-	}
 	if w.watch != nil {
 		// Online retention watcher (watch.go): snapshot-diff this cycle's
 		// provenance if it is a sampled one. Nil for unwatched worlds, so
@@ -959,6 +947,7 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		met:         newWorldMetrics(),
 		epoch:       time.Now(),
 	}
+	heap.SetOwnerCredit(w.creditTenant)
 	if c.MarkWorkers > 1 {
 		w.par = mark.NewParallel(heap, mcfg, c.MarkWorkers)
 		w.parWorkers = c.MarkWorkers
