@@ -263,6 +263,9 @@ type blockDesc struct {
 	ignoreOffPage bool
 	allocBits     []uint64
 	markBits      []uint64
+	// dirtyBits has one bit per slot (large head: bit 0), set when the
+	// slot's object is stored into (cards.go).
+	dirtyBits []uint64
 	// owners holds the owning tenant id per slot (owners.go); nil until
 	// a budgeted tenant's object is tagged here.
 	owners []int32
@@ -317,9 +320,12 @@ type Allocator struct {
 	// freeList[class] heads the threaded free list of each size class;
 	// 0 means empty (address 0 is never a heap address).
 	freeList [64]mem.Addr
-	// dirty holds one bit per committed block, set by MarkDirty (the
-	// generational write barrier) and consumed by minor collections.
-	dirty []uint64
+	// dirty is the per-block summary of the blocks' dirtyBits: one bit
+	// per committed block, set by MarkDirty (the write barrier) and
+	// cleared by TakeDirtyObjects and ClearDirty. dirtyBlocks counts
+	// its set bits.
+	dirty       []uint64
+	dirtyBlocks int
 	// typedFree heads the free lists of typed (class, descriptor)
 	// blocks; descriptors registers object layouts.
 	typedFree   map[typedKey]mem.Addr
@@ -548,6 +554,13 @@ func (a *Allocator) blockIndex(p mem.Addr) int {
 	return e.startBlock + int(p-e.seg.Base())/mem.PageBytes
 }
 
+// newBitmaps returns a small block's alloc, mark and dirty bitmaps,
+// n words each, carved from one allocation.
+func newBitmaps(n int) (allocBits, markBits, dirtyBits []uint64) {
+	bits := make([]uint64, 3*n)
+	return bits[:n:n], bits[n : 2*n : 2*n], bits[2*n:]
+}
+
 func bitGet(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitSet(bits []uint64, i int)      { bits[i>>6] |= 1 << (uint(i) & 63) }
 func bitClear(bits []uint64, i int)    { bits[i>>6] &^= 1 << (uint(i) & 63) }
@@ -679,14 +692,13 @@ func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) erro
 		desc = descAtomic
 	}
 	*b = blockDesc{
-		state:     blockSmall,
-		atomic:    atomic,
-		class:     uint8(class),
-		desc:      desc,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
+		state:    blockSmall,
+		atomic:   atomic,
+		class:    uint8(class),
+		desc:     desc,
+		objWords: int32(words),
 	}
+	b.allocBits, b.markBits, b.dirtyBits = newBitmaps(nbitWords)
 	// Zero the block so objects are delivered clean, then thread the
 	// slots in address order.
 	base := a.blockBase(bi)
@@ -722,6 +734,7 @@ func (a *Allocator) allocLargeCommon(nwords int, atomic, desperate, ignoreOffPag
 			a.tracer.Emit(trace.EvDesperateAlloc, int64(lo), 0, 0)
 		}
 	}
+	bits := make([]uint64, 2)
 	a.blocks[bi] = blockDesc{
 		state:         blockLargeHead,
 		atomic:        atomic,
@@ -729,7 +742,8 @@ func (a *Allocator) allocLargeCommon(nwords int, atomic, desperate, ignoreOffPag
 		objWords:      int32(nwords),
 		spanLen:       int32(nblocks),
 		ignoreOffPage: ignoreOffPage,
-		markBits:      make([]uint64, 1),
+		markBits:      bits[:1:1],
+		dirtyBits:     bits[1:],
 	}
 	for j := 1; j < nblocks; j++ {
 		a.blocks[bi+j] = blockDesc{state: blockLargeCont, spanLen: int32(j)}

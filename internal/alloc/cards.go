@@ -7,7 +7,8 @@ import (
 	"repro/internal/mem"
 )
 
-// Card support for the generational extension (DESIGN.md, E12).
+// Dirty-object support for the generational, incremental and
+// concurrent collectors (DESIGN.md, E12 and §5g).
 //
 // The paper's last section-3.1 paragraph observes that stray stack
 // pointers "significantly lengthen the lifetime of some objects, thus
@@ -17,122 +18,121 @@ import (
 // collections — a marked object is old, an unmarked one young — and
 // uses page-granularity dirty bits so that old objects whose pages were
 // written since the last collection can be rescanned for old-to-young
-// pointers. Both pieces live here: one dirty bit per heap block, set by
-// the collector's write barrier, and a sweep variant that preserves
-// mark bits.
+// pointers. The mostly-parallel collector (the paper's reference [8])
+// uses the same page bits to find black objects written during
+// concurrent marking.
+//
+// Here the dirty bit departs from page granularity: every block keeps
+// a per-slot dirty bitmap next to its mark bits, and the write barrier
+// (MarkDirty) sets the stored-into object's bit — a store into a large
+// object's continuation page sets the head's bit. A per-block summary
+// bit rides along, so dirty-block counts keep their page meaning. The
+// consumer, TakeDirtyObjects, hands back only the objects that are
+// allocated, marked and stored into, not every marked object on a
+// dirty page. That is sound and retention-identical: a marked object
+// not stored into since its scan (or, if still gray, since its mark)
+// has unchanged fields, so rescanning it would mark nothing new. Only
+// scan effort changes, never the marked set.
 
-// MarkDirty records a mutation of the block containing a (which must be
-// a committed heap address; other addresses are ignored). It reports
-// whether the block was newly dirtied — the concurrent-mark barrier
-// counts those transitions without a separate lookup.
+// MarkDirty records a store to addr (which must be a committed heap
+// address; other addresses are ignored): it sets the stored-into
+// object's dirty bit and its block's summary bit. It reports whether
+// the block was newly dirtied — the concurrent-mark barrier counts
+// those transitions without a separate lookup.
 func (a *Allocator) MarkDirty(addr mem.Addr) bool {
-	if !a.InCommitted(addr) {
+	e := a.extentOfAddr(addr)
+	if e == nil {
 		return false
 	}
-	bi := a.blockIndex(addr)
+	bi := e.startBlock + int(addr-e.seg.Base())/mem.PageBytes
+	b := &a.blocks[bi]
+	switch b.state {
+	case blockSmall:
+		// Blocks are page-aligned, so the page offset is the block
+		// offset. A store into block-tail waste maps past the last slot
+		// onto a bit no allocated object owns.
+		slot := int(addr%mem.PageBytes) / (int(b.objWords) * mem.WordBytes)
+		b.dirtyBits[slot>>6] |= 1 << (uint(slot) & 63)
+	case blockLargeHead:
+		b.dirtyBits[0] = 1
+	case blockLargeCont:
+		a.blocks[bi-int(b.spanLen)].dirtyBits[0] = 1
+	}
 	bit := uint64(1) << (uint(bi) & 63)
 	was := a.dirty[bi>>6]
+	if was&bit != 0 {
+		return false
+	}
 	a.dirty[bi>>6] = was | bit
-	return was&bit == 0
+	a.dirtyBlocks++
+	return true
 }
 
-// DirtyBlocks calls fn with each dirty block index.
-func (a *Allocator) DirtyBlocks(fn func(bi int)) {
+// TakeDirtyObjects calls fn with the base address of every object that
+// is allocated, marked and stored into since the last take (or
+// ClearDirty), each exactly once, in address order, then clears every
+// dirty bit. It returns how many blocks were dirty. Mark bits are read
+// atomically, so parallel or detached mark workers may be setting them
+// concurrently: an object first-marked after its bit is read is
+// scanned by its marker, after the store, so missing it here is sound.
+// Callers exclude MarkDirty and every heap-structure mutation.
+func (a *Allocator) TakeDirtyObjects(fn func(base mem.Addr)) int {
+	n := a.dirtyBlocks
 	for w, v := range a.dirty {
-		for v != 0 {
-			i := w<<6 + bits.TrailingZeros64(v)
-			if i < len(a.blocks) {
-				fn(i)
-			}
-			v &= v - 1
+		if v == 0 {
+			continue
+		}
+		a.dirty[w] = 0
+		for ; v != 0; v &= v - 1 {
+			a.takeBlock(w<<6+bits.TrailingZeros64(v), fn)
 		}
 	}
-}
-
-// ClearDirty resets all dirty bits; the collector calls it after each
-// minor collection.
-func (a *Allocator) ClearDirty() {
-	for i := range a.dirty {
-		a.dirty[i] = 0
-	}
-}
-
-// CountDirty returns the number of dirty blocks.
-func (a *Allocator) CountDirty() int {
-	n := 0
-	a.DirtyBlocks(func(int) { n++ })
+	a.dirtyBlocks = 0
 	return n
 }
 
-// ForEachMarkedObject calls fn with the base address of every marked
-// allocated object in block bi. The minor collection uses it to rescan
-// old objects on dirty blocks. The bitmaps are walked a word at a time:
-// the mark summary rejects fully-unmarked blocks outright, words with
-// no marked allocated slot are skipped whole, and set bits are resolved
-// with trailing-zero scans instead of per-slot bitGet.
-func (a *Allocator) ForEachMarkedObject(bi int, fn func(base mem.Addr)) {
+// takeBlock is TakeDirtyObjects for one dirty block. A large object's
+// bit lives on its head, so a span dirtied on several pages is handed
+// back by whichever of them is taken first.
+func (a *Allocator) takeBlock(bi int, fn func(base mem.Addr)) {
 	b := &a.blocks[bi]
 	switch b.state {
-	case blockLargeHead:
-		if b.markBits[0]&1 != 0 {
-			fn(a.blockBase(bi))
-		}
 	case blockLargeCont:
-		// The object belongs to its head block; a write to a
-		// continuation page dirties the head's object as well.
-		head := bi - int(b.spanLen)
-		if a.blocks[head].markBits[0]&1 != 0 {
-			fn(a.blockBase(head))
-		}
-	case blockSmall:
-		if b.markedCount == 0 {
+		bi -= int(b.spanLen)
+		b = &a.blocks[bi]
+		fallthrough
+	case blockLargeHead:
+		if b.dirtyBits[0] == 0 {
 			return
 		}
+		b.dirtyBits[0] = 0
+		if atomic.LoadUint64(&b.markBits[0])&1 != 0 {
+			fn(a.blockBase(bi))
+		}
+	case blockSmall:
+		// Alloc bits are stable while the caller excludes allocation,
+		// so they are read plainly; one atomic load per mark word.
 		objBytes := int(b.objWords) * mem.WordBytes
 		base := a.blockBase(bi)
-		for wi, mv := range b.markBits {
-			for w := mv & b.allocBits[wi]; w != 0; w &= w - 1 {
-				slot := wi<<6 + bits.TrailingZeros64(w)
+		for wi, dv := range b.dirtyBits {
+			if dv == 0 {
+				continue
+			}
+			b.dirtyBits[wi] = 0
+			for m := dv & b.allocBits[wi] & atomic.LoadUint64(&b.markBits[wi]); m != 0; m &= m - 1 {
+				slot := wi<<6 + bits.TrailingZeros64(m)
 				fn(base + mem.Addr(slot*objBytes))
 			}
 		}
 	}
 }
 
-// ForEachMarkedObjectAtomic is ForEachMarkedObject with the mark bits
-// read atomically, for use while parallel mark workers may be CASing
-// them concurrently. A rescan task racing a concurrent first-mark of
-// the same object may or may not see it — exactly as a serial minor
-// collection may process the dirty block before or after the root scan
-// marks the object — so either outcome is sound.
-func (a *Allocator) ForEachMarkedObjectAtomic(bi int, fn func(base mem.Addr)) {
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if atomic.LoadUint64(&b.markBits[0])&1 != 0 {
-			fn(a.blockBase(bi))
-		}
-	case blockLargeCont:
-		head := bi - int(b.spanLen)
-		if atomic.LoadUint64(&a.blocks[head].markBits[0])&1 != 0 {
-			fn(a.blockBase(head))
-		}
-	case blockSmall:
-		// One atomic load per bitmap word instead of one per slot; a
-		// racing first-mark that lands after the word is read is missed,
-		// which the contract above already permits. Alloc bits are
-		// stable during a mark phase, so they are read plainly.
-		objBytes := int(b.objWords) * mem.WordBytes
-		base := a.blockBase(bi)
-		for wi := range b.markBits {
-			mv := atomic.LoadUint64(&b.markBits[wi])
-			for w := mv & b.allocBits[wi]; w != 0; w &= w - 1 {
-				slot := wi<<6 + bits.TrailingZeros64(w)
-				fn(base + mem.Addr(slot*objBytes))
-			}
-		}
-	}
-}
+// ClearDirty resets every dirty bit; the collector calls it when a
+// cycle starts without a remembered set and after each collection.
+func (a *Allocator) ClearDirty() { a.TakeDirtyObjects(func(mem.Addr) {}) }
+
+// CountDirty returns the number of dirty blocks.
+func (a *Allocator) CountDirty() int { return a.dirtyBlocks }
 
 // ForEachObject calls fn with the base address of every currently
 // allocated object, in address order. Objects in sweep-pending blocks

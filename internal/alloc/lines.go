@@ -230,15 +230,15 @@ func (a *Allocator) nextSpan(class int, atomicObj bool, idx int, desperate bool)
 	if atomicObj {
 		desc = descAtomic
 	}
-	a.blocks[bi] = blockDesc{
-		state:     blockSmall,
-		atomic:    atomicObj,
-		class:     uint8(class),
-		desc:      desc,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
+	b := &a.blocks[bi]
+	*b = blockDesc{
+		state:    blockSmall,
+		atomic:   atomicObj,
+		class:    uint8(class),
+		desc:     desc,
+		objWords: int32(words),
 	}
+	b.allocBits, b.markBits, b.dirtyBits = newBitmaps(nbitWords)
 	hw := a.blockWords(bi)
 	for i := range hw {
 		hw[i] = 0

@@ -327,87 +327,3 @@ func TestSweepStickyNeverReleasesOldLargeSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestForEachMarkedObjectWordAtATime checks the word-at-a-time iteration
-// against a straightforward per-slot reference over random mark
-// patterns, in both variants.
-func TestForEachMarkedObjectWordAtATime(t *testing.T) {
-	_, a := newTestAllocator(t, Config{})
-	rng := simrand.New(11)
-	var objs []mem.Addr
-	for i := 0; i < 400; i++ {
-		objs = append(objs, mustAlloc(t, a, 1+rng.Intn(12), false))
-	}
-	for _, p := range objs {
-		if rng.Bool(0.5) {
-			a.Mark(p)
-		}
-	}
-	for bi := range a.blocks {
-		b := &a.blocks[bi]
-		if b.state != blockSmall {
-			continue
-		}
-		words := int(b.objWords)
-		base := a.blockBase(bi)
-		var want []mem.Addr
-		for slot := 0; slot < slotsPerBlock(words); slot++ {
-			if bitGet(b.allocBits, slot) && bitGet(b.markBits, slot) {
-				want = append(want, base+mem.Addr(slot*words*mem.WordBytes))
-			}
-		}
-		var got, gotAtomic []mem.Addr
-		a.ForEachMarkedObject(bi, func(p mem.Addr) { got = append(got, p) })
-		a.ForEachMarkedObjectAtomic(bi, func(p mem.Addr) { gotAtomic = append(gotAtomic, p) })
-		if len(got) != len(want) || len(gotAtomic) != len(want) {
-			t.Fatalf("block %d: got %d / atomic %d marked objects, want %d", bi, len(got), len(gotAtomic), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] || gotAtomic[i] != want[i] {
-				t.Fatalf("block %d: iteration order diverges at %d", bi, i)
-			}
-		}
-	}
-}
-
-// BenchmarkForEachMarkedObject measures the word-at-a-time marked-object
-// iteration over a block with a realistic sparse mark pattern (the
-// dirty-block rescan hot path of minor collections).
-func BenchmarkForEachMarkedObject(b *testing.B) {
-	space := mem.NewAddressSpace()
-	a, err := New(space, Config{
-		HeapBase:     testHeapBase,
-		InitialBytes: 64 * mem.PageBytes,
-		ReserveBytes: 1024 * mem.PageBytes,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := simrand.New(3)
-	var objs []mem.Addr
-	for i := 0; i < 1024; i++ { // one-word objects: 1024 fill exactly one block
-		p, err := a.Alloc(1, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		objs = append(objs, p)
-	}
-	for _, p := range objs {
-		if rng.Bool(0.1) {
-			a.Mark(p)
-		}
-	}
-	bi := a.blockIndex(objs[0])
-	b.Run("plain", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			a.ForEachMarkedObject(bi, func(mem.Addr) { n++ })
-		}
-	})
-	b.Run("atomic", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			a.ForEachMarkedObjectAtomic(bi, func(mem.Addr) { n++ })
-		}
-	})
-}

@@ -128,14 +128,14 @@ func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error
 	}
 	nslots := slotsPerBlock(words)
 	nbitWords := (nslots + 63) / 64
-	a.blocks[bi] = blockDesc{
-		state:     blockSmall,
-		class:     uint8(class),
-		desc:      id,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
+	b := &a.blocks[bi]
+	*b = blockDesc{
+		state:    blockSmall,
+		class:    uint8(class),
+		desc:     id,
+		objWords: int32(words),
 	}
+	b.allocBits, b.markBits, b.dirtyBits = newBitmaps(nbitWords)
 	base := a.blockBase(bi)
 	hw := a.blockWords(bi)
 	for i := range hw {

@@ -34,52 +34,55 @@ import (
 //     and heap structure is guarded by a reader-writer lock. In both
 //     shapes mutators run concurrently: their allocation fast path
 //     touches no collector structure, their slow paths and heap stores
-//     interleave under the locks above. Stores dirty their block's
-//     card (storeLocked); fresh objects are born black at the
-//     cache-refill commit point (they are zero-filled, so there is
-//     nothing to scan at birth). Slow-path allocations repay marking
-//     debt through the rate-based pacer (pacerAssistLocked) instead
-//     of a fixed per-allocation chunk.
+//     interleave under the locks above. Stores set the stored-into
+//     object's dirty bit (storeLocked); fresh objects are born black
+//     at the cache-refill commit point (they are zero-filled, so there
+//     is nothing to scan at birth). Slow-path allocations repay
+//     marking debt through the rate-based pacer (pacerAssistLocked)
+//     instead of a fixed per-allocation chunk.
 //  3. Bounded finale. When the gray set drains, the driver decides:
 //     if the mutators have dirtied more blocks than the finale budget
-//     and rescan passes remain, it stages a concurrent rescan of the
-//     dirty set (clearing the cards) and keeps marking without
-//     stopping anyone; otherwise it stops the world, rescans every
-//     block dirtied since its last rescan, re-scans the (possibly
-//     changed) roots, drains to the fixpoint, and sweeps. The pass cap
-//     makes the finale provably bounded: the final pause rescans at
-//     most the blocks dirtied during one drain interval (≤
-//     concFinaleDirtyBudget after a converging pass, and never more
-//     than the heap's block count), not the whole cycle's write set.
+//     and rescan passes remain, it takes the dirty objects — every
+//     marked object stored into since the last take — as ordinary gray
+//     work (clearing their bits) and keeps marking without stopping
+//     anyone; otherwise it stops the world, takes the objects stored
+//     into since the last pass, re-scans the (possibly changed) roots,
+//     drains to the fixpoint, and sweeps. The pass cap makes the
+//     finale provably bounded: the final pause rescans at most the
+//     objects stored into during one drain interval (on at most
+//     concFinaleDirtyBudget blocks after a converging pass), not the
+//     whole cycle's write set, nor every marked object on a dirty
+//     page.
 //
 // Tricolor soundness under the lock-chunked model: every heap store
 // and every mark chunk runs under w.mu, so stores and scans are
-// totally ordered. A store into an already-scanned (black) object
-// dirties its block, and a block dirtied after its last rescan is
-// always rescanned with the world stopped; a store into an unscanned
+// totally ordered. A store into an already-scanned (black) object sets
+// its dirty bit, and an object stored into after its last take is
+// always re-grayed with the world stopped; a store into an unscanned
 // object is seen by that object's later scan; objects allocated during
 // the cycle are born black and zero-filled. Hence no reachable-at-
-// finale object can be missed — the adversarial lost-object test pins
+// finale object can be missed — the adversarial lost-object tests pin
 // exactly the hiding pattern (store the only pointer into a black
 // object, erase the gray path).
 //
 // Under the detached model stores and scans are no longer ordered by
 // w.mu, but the argument survives with "totally ordered" weakened to
-// "data-race-free and card-visible": a scan racing a store reads
-// either value atomically, and the store's card (dirtied under w.mu)
-// is rescanned before the cycle can finish, so the published pointer
-// is found either by the racing scan or by the rescan. DESIGN.md §5h
-// has the full soundness argument; the lost-object battery runs
-// against both shapes.
+// "data-race-free and dirty-visible": a scan racing a store reads
+// either value atomically, and the store's dirty bit (set under w.mu)
+// is taken before the cycle can finish, so the published pointer is
+// found either by the racing scan or by the rescan. DESIGN.md §5h has
+// the full soundness argument; the lost-object battery runs against
+// both shapes.
 
 const (
-	// concMaxPasses caps the concurrent dirty-rescan passes before the
+	// concMaxPasses caps the concurrent dirty-object passes before the
 	// finale runs regardless; with the world stopped one final rescan
 	// always suffices, so the cap bounds pause work, not correctness.
 	concMaxPasses = 4
 	// concFinaleDirtyBudget is the dirty-block count below which the
 	// driver stops rescanning concurrently and runs the finale: few
-	// enough blocks that their in-pause rescan is cheap.
+	// enough blocks that the objects stored into on them are cheap to
+	// rescan in the pause.
 	concFinaleDirtyBudget = 16
 )
 
@@ -185,20 +188,14 @@ func (w *World) startConcurrentLocked(minor bool) {
 			w.par.StartRecording()
 		}
 	}
-	// Minor cycles rescan the remembered set — blocks dirtied since the
-	// last collection. Stage it for the background drain, then clear
-	// the cards so the cycle's own barrier records only in-cycle stores.
-	w.concDirty = w.concDirty[:0]
+	// Minor cycles rescan the remembered set — old objects stored into
+	// since the last collection. Re-gray them for the background drain;
+	// either way the dirty bits are clear afterwards, so the cycle's own
+	// barrier records only in-cycle stores.
 	w.concDirtyBlocks = 0
+	w.concRescanObjects = 0
 	if minor {
-		w.Heap.DirtyBlocks(func(bi int) {
-			w.concDirtyBlocks++
-			if w.concPar {
-				w.par.AddDirtyBlock(bi)
-			} else {
-				w.concDirty = append(w.concDirty, bi)
-			}
-		})
+		w.concDirtyBlocks, _ = w.stageDirtyRescanLocked()
 	}
 	w.Heap.ClearDirty()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(workers), kind)
@@ -300,37 +297,18 @@ func (w *World) concDrainLocked(quantum int) bool {
 	if w.concPar {
 		return w.par.RunBounded(quantum)
 	}
-	// Serial width: staged dirty-block rescans first (a whole block per
-	// unit of work — coarse, but dirty rescans are rare), then the
-	// marker's own stack.
-	blocks := quantum/64 + 1
-	for len(w.concDirty) > 0 && blocks > 0 {
-		bi := w.concDirty[len(w.concDirty)-1]
-		w.concDirty = w.concDirty[:len(w.concDirty)-1]
-		w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-		blocks--
-	}
-	if len(w.concDirty) > 0 {
-		return false
-	}
 	return w.Marker.DrainN(quantum)
 }
 
-// stageDirtyRescanLocked moves the current dirty set into the cycle's
-// gray work and clears the cards, so blocks dirtied after this point
-// are caught by the next pass or the finale. Callers hold w.mu.
-func (w *World) stageDirtyRescanLocked() int {
-	n := 0
-	w.Heap.DirtyBlocks(func(bi int) {
-		n++
-		if w.concPar {
-			w.par.AddDirtyBlock(bi)
-		} else {
-			w.concDirty = append(w.concDirty, bi)
-		}
-	})
-	w.Heap.ClearDirty()
-	return n
+// stageDirtyRescanLocked re-grays the marked objects stored into since
+// the last take as ordinary gray work of the cycle and clears their
+// dirty bits, so stores after this point are caught by the next pass
+// or the finale. It returns the dirty-block and re-grayed object
+// counts. Callers hold w.mu.
+func (w *World) stageDirtyRescanLocked() (blocks, objects int) {
+	blocks, objects = w.takeDirtyLocked(w.concPar)
+	w.concRescanObjects += objects
+	return blocks, objects
 }
 
 // stwFinishConcurrent stops the mutators and runs the finale. Callers
@@ -361,20 +339,15 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	if w.concMinor {
 		kind = 4
 	}
-	// Rescan every block dirtied since its last rescan, re-scan the
+	// Re-gray every object stored into since the last take, re-scan the
 	// (possibly changed) roots, and drain to the fixpoint — with the
 	// world stopped, one pass reaches it.
-	finalDirty := w.stageDirtyRescanLocked()
+	finalDirty, finalRescan := w.stageDirtyRescanLocked()
 	w.markRoots()
 	if w.concPar {
 		w.par.AddGrays(w.Marker.TakePending())
 		w.par.RunBounded(math.MaxInt)
 	} else {
-		for len(w.concDirty) > 0 {
-			bi := w.concDirty[len(w.concDirty)-1]
-			w.concDirty = w.concDirty[:len(w.concDirty)-1]
-			w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-		}
 		w.Marker.Drain()
 	}
 	pauseMark := time.Since(finaleStart)
@@ -434,6 +407,8 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 		Concurrent:          true,
 		RescanPasses:        w.concPasses,
 		FinalDirtyBlocks:    finalDirty,
+		RescanObjects:       w.concRescanObjects,
+		FinalRescanObjects:  finalRescan,
 		MarkedConcurrent:    beforeFinale - w.concSnapMarked,
 		ConcWorkers:         w.concWorkers,
 		ConcPhaseNs:         concPhase,

@@ -21,9 +21,10 @@ import (
 //     atomically (alloc.Config.AtomicWords pairs the mutator's store
 //     path with mark.Parallel.SetAtomicLoad), so racing a store
 //     against a scan is data-race-free; a scan that reads the
-//     pre-store value is sound because the store dirtied its block's
-//     card under w.mu and dirty blocks are rescanned before the cycle
-//     can finish (the usual insertion-barrier argument).
+//     pre-store value is sound because the store set its object's
+//     dirty bit under w.mu and dirty marked objects are re-grayed
+//     before the cycle can finish (the usual insertion-barrier
+//     argument).
 //   - Heap *structure* — block table, free lists, extents, bitmaps —
 //     is guarded by w.heapMu: each DetachedChunk runs inside one
 //     read-hold, and every allocator mutation that can run during a
@@ -53,8 +54,8 @@ const (
 	// classifies per world-lock hold.
 	concSweepChunk = 8
 	// workerIdleSleep and workerIdleAfter pace a detached worker that
-	// keeps finding the queue empty (the cycle is waiting on dirty
-	// rescans or the finale): back off to a sleep after this many
+	// keeps finding the queue empty (the cycle is waiting on a dirty
+	// take or the finale): back off to a sleep after this many
 	// consecutive empty chunks instead of burning a processor.
 	workerIdleAfter = 8
 	workerIdleSleep = 100 * time.Microsecond

@@ -15,12 +15,12 @@ import (
 //
 // A cycle starts with a snapshot root scan, then marking proceeds in
 // bounded steps piggybacked on allocations while the mutator keeps
-// running; writes during the cycle dirty their heap page. The short
-// stop-the-world finale rescans dirty pages and the (possibly changed)
-// roots, drains, and sweeps. Objects allocated during the cycle are
-// unmarked and therefore must be re-reached via the finale's root scan
-// or a dirtied page — which is exactly what the write barrier
-// guarantees.
+// running; writes during the cycle dirty the stored-into object. The
+// short stop-the-world finale re-grays the marked objects stored into,
+// rescans the (possibly changed) roots, drains, and sweeps. Objects
+// allocated during the cycle are unmarked and therefore must be
+// re-reached via the finale's root scan or a re-grayed object — which
+// is exactly what the write barrier guarantees.
 
 // StartIncrementalCycle begins an incremental collection. It is a
 // no-op if a cycle is already active. Outside incremental mode it is
@@ -92,9 +92,9 @@ func (w *World) incrementalStepLocked(quantum int) bool {
 	return done
 }
 
-// FinishIncrementalCycle runs the stop-the-world finale: rescan pages
-// dirtied during the concurrent phase and the current roots, drain,
-// and sweep. Returns the cycle's statistics; the Duration field covers
+// FinishIncrementalCycle runs the stop-the-world finale: rescan the
+// marked objects stored into during the concurrent phase and the
+// current roots, drain, and sweep. Returns the cycle's statistics; the Duration field covers
 // only the finale — the pause the mutator actually observes.
 func (w *World) FinishIncrementalCycle() CollectionStats {
 	w.mu.Lock()
@@ -119,9 +119,7 @@ func (w *World) finishIncrementalLocked() CollectionStats {
 	}
 	start := time.Now()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, 2)
-	w.Heap.DirtyBlocks(func(bi int) {
-		w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-	})
+	_, rescanned := w.takeDirtyLocked(false)
 	w.markRoots()
 	w.Marker.Drain()
 	pauseMark := time.Since(start)
@@ -156,6 +154,8 @@ func (w *World) finishIncrementalLocked() CollectionStats {
 		HeapBytes:           w.Heap.Stats().HeapBytes,
 		Incremental:         true,
 		Steps:               w.incSteps,
+		RescanObjects:       rescanned,
+		FinalRescanObjects:  rescanned,
 		PauseMarkNs:         pauseMark.Nanoseconds(),
 		PauseSweepNs:        pauseSweep.Nanoseconds(),
 		PauseStopNs:         w.lastStopNs,

@@ -336,14 +336,21 @@ type CollectionStats struct {
 	Steps       int
 	// Concurrent is true when the cycle ran mostly-concurrently:
 	// a snapshot pause, background marking, a bounded final pause.
-	// RescanPasses is how many concurrent dirty-block rescan passes ran
-	// before the finale; FinalDirtyBlocks how many dirty blocks the
-	// final pause itself rescanned; MarkedConcurrent how many objects
-	// were marked outside the two pauses (the >90% acceptance metric).
+	// RescanPasses is how many concurrent dirty-object rescan passes
+	// ran before the finale; FinalDirtyBlocks how many dirty blocks the
+	// final pause itself took; MarkedConcurrent how many objects were
+	// marked outside the two pauses (the >90% acceptance metric).
 	Concurrent       bool
 	RescanPasses     int
 	FinalDirtyBlocks int
 	MarkedConcurrent uint64
+	// RescanObjects is how many marked objects the cycle's dirty takes
+	// re-grayed because they were stored into: a minor cycle's
+	// remembered set, concurrent rescan passes and the finale.
+	// FinalRescanObjects is the finale's share of them (concurrent and
+	// incremental cycles) — the rescan work inside the final pause.
+	RescanObjects      int
+	FinalRescanObjects int
 	// ConcWorkers is how many detached background mark workers the
 	// cycle ran (0 for a lock-chunked cycle); ConcPhaseNs is the
 	// wall-clock length of the concurrent marking phase between the
@@ -423,23 +430,23 @@ type World struct {
 	// marks through w.par (width was > 1 at the snapshot); concGen is a
 	// staleness counter so a background driver from a finished cycle
 	// exits instead of driving the next one; concPasses counts the
-	// concurrent rescan passes run so far; concDirty is the serial
-	// width's staged dirty-block rescan queue; concDirtyBlocks the
-	// minor snapshot's remembered-set size; concSnapMarked the objects
+	// concurrent rescan passes run so far; concDirtyBlocks is the minor
+	// snapshot's remembered-set size in blocks; concRescanObjects the
+	// objects the cycle's dirty takes re-grayed; concSnapMarked the objects
 	// marked inside the snapshot pause; concStart/concSnapNs anchor the
 	// cycle's pause accounting; concStealsStart snapshots the parallel
 	// marker's cumulative steal count at the cycle start.
-	concActive      bool
-	concMinor       bool
-	concPar         bool
-	concGen         uint64
-	concPasses      int
-	concDirty       []int
-	concDirtyBlocks int
-	concSnapMarked  uint64
-	concStart       time.Time
-	concSnapNs      int64
-	concStealsStart uint64
+	concActive        bool
+	concMinor         bool
+	concPar           bool
+	concGen           uint64
+	concPasses        int
+	concDirtyBlocks   int
+	concRescanObjects int
+	concSnapMarked    uint64
+	concStart         time.Time
+	concSnapNs        int64
+	concStealsStart   uint64
 	// Detached-marking state (detached.go). heapMu guards heap
 	// *structure* against the detached workers: workers hold the read
 	// side per chunk, allocator mutations take the write side through
@@ -816,9 +823,9 @@ func (w *World) writeGCTrace(st CollectionStats) {
 		fmt.Fprintf(w.gctrace, ", %d deferred", st.SweepDeferredBlocks)
 	}
 	if st.Concurrent {
-		fmt.Fprintf(w.gctrace, ", snap %.2fms final %.2fms (%d dirty rescanned)",
+		fmt.Fprintf(w.gctrace, ", snap %.2fms final %.2fms (%d dirty blocks, %d objects rescanned; %d in cycle)",
 			float64(st.PauseSnapshotNs)/1e6, float64(st.PauseFinalNs)/1e6,
-			st.FinalDirtyBlocks)
+			st.FinalDirtyBlocks, st.FinalRescanObjects, st.RescanObjects)
 	}
 	if st.PauseStopNs > 0 {
 		fmt.Fprintf(w.gctrace, ", stop %.2fms", float64(st.PauseStopNs)/1e6)
@@ -1234,12 +1241,12 @@ func (w *World) markRoots() {
 
 // markPhase runs one stop-the-world mark phase — serial through
 // w.Marker, or sharded across w.par's workers when MarkWorkers > 1 —
-// and returns its statistics plus the dirty-block count (minor cycles
-// only). Parallel cycles mark exactly the serial object set: the CAS
-// on each mark bit admits one winner, so ObjectsMarked, BytesMarked
-// and the blacklisted pages match the serial run bit for bit.
-func (w *World) markPhase(minor bool) (mark.Stats, int) {
-	dirty := 0
+// and returns its statistics plus the dirty-block and re-grayed object
+// counts (minor cycles only). Parallel cycles mark exactly the serial
+// object set: the CAS on each mark bit admits one winner, so
+// ObjectsMarked, BytesMarked and the blacklisted pages match the
+// serial run bit for bit.
+func (w *World) markPhase(minor bool) (_ mark.Stats, dirty, rescanned int) {
 	workers := w.effectiveMarkWorkers()
 	w.lastMarkWorkers = workers
 	if workers <= 1 {
@@ -1248,27 +1255,21 @@ func (w *World) markPhase(minor bool) (mark.Stats, int) {
 			w.Marker.StartRecording()
 		}
 		if minor {
-			// Rescan old objects on dirty pages first: at this point
-			// every marked object is old, so the scan is exactly the
+			// Re-gray the stored-into old objects first: at this point
+			// every marked object is old, so the take is exactly the
 			// remembered set.
-			w.Heap.DirtyBlocks(func(bi int) {
-				dirty++
-				w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-			})
+			dirty, rescanned = w.takeDirtyLocked(false)
 		}
 		w.markRoots()
 		w.Marker.Drain()
-		return w.Marker.Stats(), dirty
+		return w.Marker.Stats(), dirty, rescanned
 	}
 	w.ensureParLocked(workers)
 	if w.prov.enabled {
 		w.par.StartRecording()
 	}
 	if minor {
-		w.Heap.DirtyBlocks(func(bi int) {
-			dirty++
-			w.par.AddDirtyBlock(bi)
-		})
+		dirty, rescanned = w.takeDirtyLocked(true)
 	}
 	if w.mut != nil {
 		w.par.AddSparseRootsOrigin(mark.RootOrigin{Kind: mark.RootRegister, Src: -1}, w.mut.Registers())
@@ -1286,7 +1287,21 @@ func (w *World) markPhase(minor bool) (mark.Stats, int) {
 	for i, s := range w.Space.Roots() {
 		w.par.AddRootsOrigin(mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()}, s.Words())
 	}
-	return w.par.Run(), dirty
+	return w.par.Run(), dirty, rescanned
+}
+
+// takeDirtyLocked re-grays every marked object stored into since the
+// last take onto the serial marker's stack — handed on to the parallel
+// workers when par — clears the dirty bits, and returns the dirty-block
+// and re-grayed object counts. Callers hold w.mu.
+func (w *World) takeDirtyLocked(par bool) (blocks, objects int) {
+	before := w.Marker.Pending()
+	blocks = w.Heap.TakeDirtyObjects(w.Marker.PushGray)
+	objects = w.Marker.Pending() - before
+	if par {
+		w.par.AddGrays(w.Marker.TakePending())
+	}
+	return blocks, objects
 }
 
 // ensureParLocked (re)builds the sharded marker at the given width.
@@ -1351,7 +1366,7 @@ func (w *World) collectLocked() CollectionStats {
 	}
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 0)
 	markStart := time.Now()
-	mstats, _ := w.markPhase(false)
+	mstats, _, _ := w.markPhase(false)
 	pauseMark := time.Since(markStart)
 	w.traceMarkEnd(mstats)
 	// Finalisation, as used by the paper's PCR experiment: "selected
@@ -1479,7 +1494,7 @@ func (w *World) collectMinorLocked() CollectionStats {
 	w.Blacklist.BeginCycle()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 1)
 	markStart := time.Now()
-	mstats, dirty := w.markPhase(true)
+	mstats, dirty, rescanned := w.markPhase(true)
 	pauseMark := time.Since(markStart)
 	w.traceMarkEnd(mstats)
 	for a := range w.finalizable {
@@ -1508,6 +1523,7 @@ func (w *World) collectMinorLocked() CollectionStats {
 		HeapBytes:           w.Heap.Stats().HeapBytes,
 		Minor:               true,
 		DirtyBlocks:         dirty,
+		RescanObjects:       rescanned,
 		Promoted:            mstats.ObjectsMarked,
 		PauseMarkNs:         pauseMark.Nanoseconds(),
 		PauseSweepNs:        pauseSweep.Nanoseconds(),
@@ -1541,7 +1557,7 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 	w.Heap.FinishSweep() // pending bits are the previous cycle's, not this one's
 	w.Heap.FlushSpans()  // carved-but-unissued span slots are not accessible objects
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 0)
-	mstats, _ := w.markPhase(false)
+	mstats, _, _ := w.markPhase(false)
 	w.traceMarkEnd(mstats)
 	objects, bytes = w.Heap.CountMarked()
 	w.Heap.ClearMarks()
@@ -1595,7 +1611,7 @@ func (w *World) Load(a mem.Addr) (mem.Word, error) {
 
 // Store writes a heap or segment word (convenience for workloads). In
 // generational mode it doubles as the write barrier: heap stores dirty
-// their page, like the VM-dirty-bit barrier of the PCR collector.
+// the stored-into object (the PCR collector used VM page dirty bits).
 func (w *World) Store(a mem.Addr, v mem.Word) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1604,16 +1620,14 @@ func (w *World) Store(a mem.Addr, v mem.Word) error {
 
 // storeLocked is the write barrier + store body; callers hold w.mu.
 // During a concurrent cycle it is the Dijkstra-style insertion barrier
-// at dirty-card granularity: the written-to block is re-greyed, so the
-// finale (or an earlier rescan pass) re-scans its marked objects and
+// at object granularity: the written-to object is marked dirty, so the
+// finale (or an earlier rescan pass) re-grays it if it is marked and
 // finds whatever pointer this store published.
 func (w *World) storeLocked(a mem.Addr, v mem.Word) error {
 	if w.cfg.Generational || w.incActive || w.concActive {
 		if w.Heap.MarkDirty(a) && w.concActive {
 			w.met.barrierDirty.Inc()
-			if w.tracer.Enabled() {
-				w.tracer.Emit(trace.EvBarrierDirty, int64(a), int64(w.Heap.CountDirty()), 0)
-			}
+			w.tracer.Emit(trace.EvBarrierDirty, int64(a), int64(w.Heap.CountDirty()), 0)
 		}
 	}
 	return w.Space.Store(a, v)

@@ -18,8 +18,8 @@
 // it has no credits to scan pushes it straight back and retires, so the
 // handoff cannot livelock.
 //
-// The budget bounds *traced objects*, not tasks: a claimed dirty-block
-// or root-chunk task is processed whole (its grays land on the local
+// The budget bounds *traced objects*, not tasks: a claimed root-chunk
+// task is processed whole (its grays land on the local
 // stack and are scanned against the budget), so a chunk may overshoot
 // by at most one task's own candidates. Overshoot is a pacing blur,
 // never a correctness issue — the fixpoint is monotone.
@@ -49,9 +49,10 @@ func (p *Parallel) ResetCycle() {
 	p.assist.m.Reset()
 }
 
-// AddGrays stages already-marked objects for scanning by the next
-// bounded run — the snapshot pause hands the root-reachable gray set to
-// the background workers this way.
+// AddGrays stages already-marked objects for scanning by the next run
+// — the snapshot pause hands the root-reachable gray set to the
+// background workers this way, and dirty-object takes re-gray the
+// black objects stored into since their scan.
 func (p *Parallel) AddGrays(addrs []mem.Addr) {
 	for lo := 0; lo < len(addrs); lo += grayChunk {
 		hi := lo + grayChunk

@@ -13,8 +13,8 @@
 //   - heap *words* are read atomically (atomicLoad) and the mutator
 //     store path writes them atomically, so a torn or stale read is
 //     impossible; a stale-but-consistent read is sound because the
-//     insertion barrier dirties the stored-to block, and dirty blocks
-//     are rescanned before the cycle can finish;
+//     insertion barrier dirties the stored-to object, and dirty
+//     objects are re-grayed before the cycle can finish;
 //   - heap *structure* (block table, free lists, extents, bitmaps) is
 //     protected by a reader-writer lock in core: each DetachedChunk
 //     call runs entirely inside one read-hold, and every allocator
@@ -31,8 +31,8 @@ package mark
 
 // FlushStaged moves staged tasks onto the shared queue immediately, so
 // detached workers (which pop the queue directly rather than entering
-// through Run/RunBounded) can see work staged by AddGrays or
-// AddDirtyBlock. Call under the same exclusion as the staging itself.
+// through Run/RunBounded) can see work staged by AddGrays. Call under
+// the same exclusion as the staging itself.
 func (p *Parallel) FlushStaged() {
 	if len(p.staged) == 0 {
 		return

@@ -287,9 +287,8 @@ func (m *Marker) MarkRootSegments(space *mem.AddressSpace) {
 }
 
 // ScanObject scans the fields of the object at base as pointer
-// candidates, regardless of the object's own mark state. Minor
-// collections use it to rescan old (marked) objects on dirty pages for
-// old-to-young pointers; atomic objects scan as nothing.
+// candidates, regardless of the object's own mark state; atomic
+// objects scan as nothing.
 func (m *Marker) ScanObject(base mem.Addr) {
 	words, kind, desc := m.heap.ScanInfo(base)
 	if kind == alloc.ScanAtomic {
@@ -374,6 +373,10 @@ func (m *Marker) DrainN(n int) bool {
 	}
 	return len(m.stack) == 0
 }
+
+// PushGray queues an already-marked object for scanning: dirty-object
+// takes re-gray the black objects stored into since their scan.
+func (m *Marker) PushGray(base mem.Addr) { m.stack = append(m.stack, base) }
 
 // Pending returns the number of objects awaiting scanning.
 func (m *Marker) Pending() int { return len(m.stack) }

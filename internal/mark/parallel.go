@@ -12,8 +12,9 @@
 //   - a worker whose stack grows past spillThreshold sheds chunks of
 //     gray objects onto a shared, mutex-guarded overflow queue, from
 //     which idle workers steal;
-//   - root areas and dirty-page rescans are enqueued as chunk tasks, so
-//     initial work is balanced dynamically rather than statically. The
+//   - root areas and re-grayed dirty objects are enqueued as chunk
+//     tasks, so initial work is balanced dynamically rather than
+//     statically. The
 //     root areas include every stopped mutator handle's registers and
 //     simulated stack (core's safepoint protocol parks and flushes the
 //     handles before any worker starts, so the sources are quiescent);
@@ -31,11 +32,9 @@
 // are bit-for-bit identical — the CAS admits exactly one winner per
 // object. Root-scan counters (WordsScanned, Candidates) are identical
 // too, because chunking preserves the candidate sequence (including
-// unaligned straddles, via one word of chunk overlap). Only dirty-page
-// rescans in minor cycles may scan an object that a racing worker
-// marked moments earlier — the same double scan a serial minor cycle
-// performs for large objects spanning several dirty pages — which can
-// shift FieldsScanned but never the marked set.
+// unaligned straddles, via one word of chunk overlap). The dirty
+// objects a minor cycle re-grays are taken before any worker starts,
+// so they too are exactly the serial run's.
 package mark
 
 import (
@@ -69,7 +68,6 @@ const (
 	taskRoots  taskKind = iota // scan words as a root chunk
 	taskSparse                 // registers: nonzero words only, no straddles
 	taskGray                   // already-marked objects awaiting scanning
-	taskDirty                  // minor cycle: rescan marked objects of one block
 )
 
 // task is one unit of stealable work.
@@ -78,7 +76,6 @@ type task struct {
 	words []mem.Word
 	tail  int // taskRoots: trailing straddle-context words
 	addrs []mem.Addr
-	block int // taskDirty: block index
 	// org and off attribute the chunk for provenance recording:
 	// the root area's identity and the index of words[0] within it.
 	// Ignored (zero) when the cycle does not record.
@@ -165,9 +162,8 @@ func (w *worker) run() {
 
 // Parallel is a reusable parallel mark phase over one heap. Build it
 // once, then per collection cycle: AddRoots / AddSparseRoots /
-// AddDirtyBlock, then Run.
+// AddGrays, then Run.
 type Parallel struct {
-	heap    *alloc.Allocator
 	cfg     Config
 	shared  *blacklist.Locked
 	workers []*worker
@@ -182,8 +178,8 @@ type Parallel struct {
 	credits atomic.Int64 // bounded-run scan budget (see bounded.go)
 	staged  []task       // tasks accumulated between cycles, moved to queue by Run
 	// steals counts tasks fetched from the shared queue, cumulatively
-	// across cycles: root chunks claimed, gray chunks stolen, dirty
-	// blocks taken. It is the registry's mark-steal metric.
+	// across cycles: root chunks claimed and gray chunks stolen. It is
+	// the registry's mark-steal metric.
 	steals atomic.Uint64
 	tracer *trace.Recorder
 	wg     sync.WaitGroup // reused across cycles so Run does not allocate it
@@ -199,7 +195,7 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 	if bl == nil {
 		bl = blacklist.Disabled{}
 	}
-	p := &Parallel{heap: heap, cfg: cfg, shared: blacklist.NewLocked(bl)}
+	p := &Parallel{cfg: cfg, shared: blacklist.NewLocked(bl)}
 	for i := 0; i <= workers; i++ {
 		buf := &addrBuffer{shared: p.shared}
 		wcfg := cfg
@@ -221,7 +217,7 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 func (p *Parallel) Workers() int { return len(p.workers) }
 
 // Steals returns the cumulative number of tasks workers fetched from
-// the shared queue (root chunks, stolen gray chunks, dirty blocks).
+// the shared queue (root chunks and stolen gray chunks).
 func (p *Parallel) Steals() uint64 { return p.steals.Load() }
 
 // SetTracer attaches r to the phase and every worker's marker (nil
@@ -312,12 +308,6 @@ func (p *Parallel) StopRecording() []ParentRecord {
 	}
 	out = append(out, p.assist.m.StopRecording()...)
 	return out
-}
-
-// AddDirtyBlock stages a minor-cycle rescan of the marked objects in
-// block bi.
-func (p *Parallel) AddDirtyBlock(bi int) {
-	p.staged = append(p.staged, task{kind: taskDirty, block: bi})
 }
 
 // spill sheds the older half of a worker's mark stack onto the shared
@@ -432,7 +422,5 @@ func (p *Parallel) process(w *worker, t task) {
 		w.m.MarkSparseRoots(t.org, t.words)
 	case taskGray:
 		w.m.stack = append(w.m.stack, t.addrs...)
-	case taskDirty:
-		p.heap.ForEachMarkedObjectAtomic(t.block, w.m.ScanObject)
 	}
 }

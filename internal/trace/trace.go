@@ -112,12 +112,12 @@ const (
 	// span, A2 object words per slot.
 	EvSpanRefill
 	// EvBarrierDirty records the concurrent-mark write barrier newly
-	// dirtying a block (first store into it since its last rescan). A0
+	// dirtying a block (first store into it since its last take). A0
 	// the stored-to address, A1 blocks currently dirty.
 	EvBarrierDirty
 	// EvFinalPause records a concurrent cycle's bounded final pause. A0
-	// pause duration in nanoseconds, A1 dirty blocks rescanned in the
-	// pause, A2 concurrent rescan passes run before it.
+	// pause duration in nanoseconds, A1 dirty blocks taken in the pause,
+	// A2 concurrent rescan passes run before it.
 	EvFinalPause
 	// EvPacerAssist records one mutator slow-path assist repaying mark
 	// debt to the pacer. A0 assist duration in nanoseconds, A1 bytes of

@@ -112,9 +112,9 @@ func pausePercentile(ns []float64, p float64) float64 {
 // against the same collector run fully stop-the-world. The workload
 // keeps a growing linked structure live (rooted allocations plus links
 // between rooted objects, no frees), so full collections mark an
-// ever-larger graph while the concurrent finale only rescans dirty
-// blocks and roots — the gap between the two p99 columns is the
-// tentpole's payoff.
+// ever-larger graph while the concurrent finale only rescans the
+// objects stored into since the last pass and the roots — the gap
+// between the two p99 columns is the concurrent cycle's payoff.
 func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error) {
 	if opts.Mutators == 0 {
 		opts.Mutators = 8
