@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race perfbench-test bench bench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test race scripts-test perfab perfbench-test bench bench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
-ci: fmt vet lint build test race
+ci: fmt vet lint build test race scripts-test
 
 # gofmt is a gate, not a fixer: fail listing the offending files.
 fmt:
@@ -39,6 +39,22 @@ test:
 # the root package adds the bench drivers and trace plumbing.
 race:
 	$(GO) test -race . ./internal/...
+
+# Unit tests of the Python tooling (perfab's statistics helpers).
+scripts-test:
+	python3 -m unittest discover -s scripts
+
+# A/B the benchmark: BASE (a git revision, extracted with git archive)
+# against the working tree, PAIRS alternating pairs of WORKLOAD runs on
+# SEED, each as long as BENCHMARK.json's run_seconds. Prints each side's
+# median and quartiles, the change/base ratio and the win count per
+# metric, flagging GAIN by the 9-of-10-pairs, median-beyond-IQR rule.
+BASE ?= HEAD
+WORKLOAD ?= churn
+PAIRS ?= 10
+SEED ?= 1
+perfab:
+	python3 scripts/perfab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # perfbench is its own Go module (perfbench/go.mod), so the root
 # `go test ./...` never reaches its smoke tests — among them serve's

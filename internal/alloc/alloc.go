@@ -504,19 +504,6 @@ func (a *Allocator) blockWords(bi int) []mem.Word {
 	return e.seg.Words()[off : off+mem.PageWords]
 }
 
-// ObjectWords returns the word slice of the object at base (which must
-// be a valid object base of the given size). Objects never span
-// extents, so the slice is contiguous; the marker scans through it.
-func (a *Allocator) ObjectWords(base mem.Addr, words int) []mem.Word {
-	if len(a.extents) == 1 {
-		off := int(base-a.extents[0].seg.Base()) / mem.WordBytes
-		return a.extents[0].seg.Words()[off : off+words]
-	}
-	e := a.extentOfAddr(base)
-	off := int(base-e.seg.Base()) / mem.WordBytes
-	return e.seg.Words()[off : off+words]
-}
-
 // loadWord and storeWord access heap memory by address.
 func (a *Allocator) loadWord(p mem.Addr) (mem.Word, error) {
 	if e := a.extentOfAddr(p); e != nil {
@@ -565,8 +552,34 @@ func bitGet(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 
 func bitSet(bits []uint64, i int)      { bits[i>>6] |= 1 << (uint(i) & 63) }
 func bitClear(bits []uint64, i int)    { bits[i>>6] &^= 1 << (uint(i) & 63) }
 
+// Slot indexing. A small block holds objects of one size, so an
+// object's slot is its block offset divided by the object size in
+// bytes. That size is one of MaxSmallWords values known up front, so
+// the division is a multiply by a precomputed reciprocal and a shift:
+// with slotRecip[w] = ceil(2^32/d) for d = w*WordBytes,
+// off*slotRecip[w]>>32 == off/d for every 0 ≤ off ≤ PageBytes. (The
+// rounding error e = slotRecip[w]*d - 2^32 is below d ≤ 2^11, so
+// off*e < 2^23 never carries into the quotient; TestSlotRecipExact
+// checks every pair.) slotsPer[w] caches PageWords/w the same way.
+var (
+	slotRecip [MaxSmallWords + 1]uint32
+	slotsPer  [MaxSmallWords + 1]int32
+)
+
+func init() {
+	for w := 1; w <= MaxSmallWords; w++ {
+		d := uint64(w * mem.WordBytes)
+		slotRecip[w] = uint32((1<<32 + d - 1) / d)
+		slotsPer[w] = int32(mem.PageWords / w)
+	}
+}
+
+// slotOf returns off / (w*WordBytes): the slot holding block offset off
+// (0 ≤ off ≤ PageBytes) in a block of w-word objects.
+func slotOf(off, w int) int { return int(uint64(off) * uint64(slotRecip[w]) >> 32) }
+
 // slotsPerBlock returns how many objects of w words fit in one block.
-func slotsPerBlock(w int) int { return mem.PageWords / w }
+func slotsPerBlock(w int) int { return int(slotsPer[w]) }
 
 // firstSlot returns the first usable slot index of a small block of the
 // given class under the SkipPageBoundarySlot option.
@@ -650,8 +663,7 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 		return 0, err
 	}
 	b := &a.blocks[a.blockIndex(p)]
-	slot := int(p-a.blockBase(a.blockIndex(p))) / (words * mem.WordBytes)
-	bitSet(b.allocBits, slot)
+	bitSet(b.allocBits, slotOf(int(p%mem.PageBytes), words))
 	b.liveSlots++
 	a.stats.ObjectsAllocated++
 	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
@@ -968,6 +980,110 @@ func (a *Allocator) CanExpand() bool {
 	return ok
 }
 
+// Object is a resolved heap object: what the marker needs to account
+// for it and to scan it.
+type Object struct {
+	Base  mem.Addr
+	Words int
+	Kind  ScanKind
+}
+
+// markOp selects what lookup does with the resolved object's mark bit.
+type markOp uint8
+
+const (
+	markRead markOp = iota // report the bit
+	markSet                // set it plainly (a lone marker)
+	markCAS                // set it by compare-and-swap (markers sharing the heap)
+)
+
+// lookup is the allocator's one pointer-validity switch and the mark
+// kernel behind MarkCandidate: it resolves p to the object it names
+// with a single block-descriptor read, then applies op to that
+// object's mark bit. interior selects the policy: any address inside
+// an allocated object (any byte offset) is valid, or only the exact
+// base. ok is false for free blocks and free slots, block-tail waste,
+// addresses outside the committed heap, continuation pages of
+// ignore-off-page objects and, in base-only mode, interior addresses.
+// marked is the bit under markRead, and otherwise whether this call
+// set it. The mark summary (markedCount) moves with every transition.
+func (a *Allocator) lookup(p mem.Addr, interior bool, op markOp) (obj Object, marked, ok bool) {
+	var bi int
+	if len(a.extents) == 1 {
+		// Fast path: this runs for every candidate, so the common
+		// single-extent heap avoids the extent search.
+		seg := a.extents[0].seg
+		if !seg.Contains(p) {
+			return
+		}
+		bi = int((p - seg.Base()) / mem.PageBytes)
+	} else {
+		e := a.extentOfAddr(p)
+		if e == nil {
+			return
+		}
+		bi = e.startBlock + int((p-e.seg.Base())/mem.PageBytes)
+	}
+	b := &a.blocks[bi]
+	// Extents and blocks are page-aligned, so the page holding p is
+	// its block and the page offset is the block offset.
+	page := mem.AlignPageDown(p)
+	slot := 0 // a large object's mark bit is bit 0 of its head
+	switch b.state {
+	case blockSmall:
+		w := int(b.objWords)
+		off := int(p - page)
+		slot = slotOf(off, w)
+		if slot >= slotsPerBlock(w) || !bitGet(b.allocBits, slot) {
+			return // block-tail waste or a free slot
+		}
+		obj.Base = page + mem.Addr(slot*w*mem.WordBytes)
+	case blockLargeCont:
+		if !interior {
+			return
+		}
+		page -= mem.Addr(int(b.spanLen) * mem.PageBytes)
+		b = &a.blocks[bi-int(b.spanLen)]
+		if b.ignoreOffPage {
+			// The client promised to keep a first-page pointer; deep
+			// interior candidates are invalid (observation 7).
+			return
+		}
+		fallthrough
+	case blockLargeHead:
+		if p-page >= mem.Addr(int(b.objWords)*mem.WordBytes) {
+			return // past the object, in its last page's tail
+		}
+		obj.Base = page
+	default:
+		return // free block
+	}
+	if p != obj.Base && !interior {
+		return Object{}, false, false
+	}
+	obj.Words = int(b.objWords)
+	obj.Kind = b.scanKind()
+	switch op {
+	case markRead:
+		marked = atomic.LoadUint64(&b.markBits[slot>>6])&(1<<(uint(slot)&63)) != 0
+	case markSet:
+		if !bitGet(b.markBits, slot) {
+			bitSet(b.markBits, slot)
+			b.markedCount++
+			marked = true
+		}
+	case markCAS:
+		if atomicSetBit(b.markBits, slot) {
+			// The CAS admits exactly one marker per object, so the add
+			// runs once per mark transition and the summary equals the
+			// bitmap's population count at the barrier.
+			atomic.AddInt32(&b.markedCount, 1)
+			marked = true
+		}
+	}
+	return obj, marked, true
+}
+
 // FindObject resolves a candidate pointer value to an object base
 // address. interior selects the pointer-validity policy: when true, any
 // address strictly inside an allocated object (any byte offset) is
@@ -979,67 +1095,23 @@ func (a *Allocator) CanExpand() bool {
 // responsible for the companion "heap proximity check" (InVicinity) and
 // for blacklisting failures.
 func (a *Allocator) FindObject(p mem.Addr, interior bool) (mem.Addr, bool) {
-	var bi int
-	if len(a.extents) == 1 {
-		// Fast path: the candidate test runs for every root word, so
-		// the common single-extent heap avoids the extent search.
-		seg := a.extents[0].seg
-		if !seg.Contains(p) {
-			return 0, false
-		}
-		bi = int(p-seg.Base()) / mem.PageBytes
-	} else {
-		e := a.extentOfAddr(p)
-		if e == nil {
-			return 0, false
-		}
-		bi = e.startBlock + int(p-e.seg.Base())/mem.PageBytes
+	obj, _, ok := a.lookup(p, interior, markRead)
+	return obj.Base, ok
+}
+
+// MarkCandidate is figure 2's validity check and mark in one block
+// lookup. It resolves p exactly as FindObject does and, when p names an
+// object, sets that object's mark bit, reporting in marked whether this
+// call set it. shared selects the compare-and-swap used by markers that
+// share the heap (parallel and detached workers): for any object exactly
+// one concurrent caller observes marked. The lone serial marker sets
+// the bit plainly and pays nothing for the capability.
+func (a *Allocator) MarkCandidate(p mem.Addr, interior, shared bool) (obj Object, marked, ok bool) {
+	op := markSet
+	if shared {
+		op = markCAS
 	}
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockFree:
-		return 0, false
-	case blockLargeCont:
-		if !interior {
-			return 0, false
-		}
-		bi -= int(b.spanLen)
-		b = &a.blocks[bi]
-		if b.ignoreOffPage {
-			// The client promised to keep a first-page pointer; deep
-			// interior candidates are invalid (observation 7).
-			return 0, false
-		}
-		fallthrough
-	case blockLargeHead:
-		base := a.blockBase(bi)
-		if p == base {
-			return base, true
-		}
-		if !interior {
-			return 0, false
-		}
-		if p < base+mem.Addr(int(b.objWords)*mem.WordBytes) {
-			return base, true
-		}
-		return 0, false
-	case blockSmall:
-		words := int(b.objWords)
-		bb := a.blockBase(bi)
-		slot := int(p-bb) / (words * mem.WordBytes)
-		if slot >= slotsPerBlock(words) {
-			return 0, false // block-tail waste
-		}
-		if !bitGet(b.allocBits, slot) {
-			return 0, false
-		}
-		base := bb + mem.Addr(slot*words*mem.WordBytes)
-		if p != base && !interior {
-			return 0, false
-		}
-		return base, true
-	}
-	return 0, false
+	return a.lookup(p, interior, op)
 }
 
 // IsAllocated reports whether base is the base address of a currently
@@ -1049,40 +1121,26 @@ func (a *Allocator) FindObject(p mem.Addr, interior bool) (mem.Addr, bool) {
 // reclamation is deferred — so it reports as not allocated, keeping
 // retention measurements identical between lazy and eager sweeping.
 func (a *Allocator) IsAllocated(base mem.Addr) bool {
-	b, ok := a.FindObject(base, false)
-	if !ok || b != base {
-		return false
-	}
-	if a.blocks[a.blockIndex(base)].pendingSweep && !a.Marked(base) {
-		return false
-	}
-	return true
+	_, marked, ok := a.lookup(base, false, markRead)
+	return ok && (marked || !a.blocks[a.blockIndex(base)].pendingSweep)
 }
 
 // Mark sets the mark bit for the object with the given base address,
 // returning true if it was not previously marked. The base must come
 // from FindObject.
-func (a *Allocator) Mark(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if b.markBits[0]&1 != 0 {
-			return false
-		}
-		b.markBits[0] |= 1
-		b.markedCount++
-		return true
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		if bitGet(b.markBits, slot) {
-			return false
-		}
-		bitSet(b.markBits, slot)
-		b.markedCount++
-		return true
+func (a *Allocator) Mark(base mem.Addr) bool { return a.markBase(base, markSet) }
+
+// MarkAtomic is Mark with the bit set by compare-and-swap, safe for
+// concurrent use by parallel mark workers: for any object exactly one
+// concurrent caller observes true.
+func (a *Allocator) MarkAtomic(base mem.Addr) bool { return a.markBase(base, markCAS) }
+
+func (a *Allocator) markBase(base mem.Addr, op markOp) bool {
+	_, marked, ok := a.lookup(base, false, op)
+	if !ok {
+		panic(fmt.Sprintf("alloc: Mark(%#x): not an object base", uint32(base)))
 	}
-	panic(fmt.Sprintf("alloc: Mark(%#x) on non-object block", uint32(base)))
+	return marked
 }
 
 // atomicSetBit sets bit i of bits with a CAS loop, returning true if
@@ -1102,53 +1160,17 @@ func atomicSetBit(bits []uint64, i int) bool {
 	}
 }
 
-// MarkAtomic is Mark with the bit set by compare-and-swap, safe for
-// concurrent use by parallel mark workers: for any object exactly one
-// concurrent caller observes true. The serial Mark path is kept
-// non-atomic so MarkWorkers=1 pays nothing for the capability.
-func (a *Allocator) MarkAtomic(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if atomicSetBit(b.markBits, 0) {
-			atomic.AddInt32(&b.markedCount, 1)
-			return true
-		}
-		return false
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		if atomicSetBit(b.markBits, slot) {
-			// The CAS admits exactly one marker per object, so the add
-			// runs once per mark transition and the summary equals the
-			// bitmap's population count at the barrier.
-			atomic.AddInt32(&b.markedCount, 1)
-			return true
-		}
-		return false
-	}
-	panic(fmt.Sprintf("alloc: MarkAtomic(%#x) on non-object block", uint32(base)))
-}
-
 // Marked reports whether the object at base is marked.
 func (a *Allocator) Marked(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		return b.markBits[0]&1 != 0
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		return bitGet(b.markBits, slot)
-	}
-	return false
+	_, marked, _ := a.lookup(base, false, markRead)
+	return marked
 }
 
 // ObjectSpan returns the size in words and atomicity of the object at
-// base (which must be an object base address).
+// base (0, false when base is not an object base).
 func (a *Allocator) ObjectSpan(base mem.Addr) (words int, atomic bool) {
-	b := &a.blocks[a.blockIndex(base)]
-	return int(b.objWords), b.atomic
+	obj, _, _ := a.lookup(base, false, markRead)
+	return obj.Words, obj.Kind == ScanAtomic
 }
 
 // Stats returns a copy of the allocator statistics.

@@ -51,7 +51,7 @@ func (a *Allocator) MarkDirty(addr mem.Addr) bool {
 		// Blocks are page-aligned, so the page offset is the block
 		// offset. A store into block-tail waste maps past the last slot
 		// onto a bit no allocated object owns.
-		slot := int(addr%mem.PageBytes) / (int(b.objWords) * mem.WordBytes)
+		slot := slotOf(int(addr%mem.PageBytes), int(b.objWords))
 		b.dirtyBits[slot>>6] |= 1 << (uint(slot) & 63)
 	case blockLargeHead:
 		b.dirtyBits[0] = 1

@@ -31,12 +31,12 @@ func (a *Allocator) SetOwnerCredit(fn func(id int32, objects, bytes uint64)) {
 	a.ownerCredit = fn
 }
 
-// ownerSlot returns the owners index of the object at base in block bi.
-func (a *Allocator) ownerSlot(bi int, b *blockDesc, base mem.Addr) int {
+// ownerSlot returns the owners index of the object at base in block b.
+func ownerSlot(b *blockDesc, base mem.Addr) int {
 	if b.state != blockSmall {
 		return 0
 	}
-	return int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
+	return slotOf(int(base%mem.PageBytes), int(b.objWords))
 }
 
 // TagOwner records that the object (or carved slot) at base is owned by
@@ -51,7 +51,7 @@ func (a *Allocator) TagOwner(base mem.Addr, id int32) {
 		}
 		b.owners = make([]int32, n)
 	}
-	b.owners[a.ownerSlot(bi, b, base)] = id
+	b.owners[ownerSlot(b, base)] = id
 	for int(id) >= len(a.ownerBlocks) {
 		a.ownerBlocks = append(a.ownerBlocks, nil)
 	}
@@ -164,9 +164,8 @@ func (a *Allocator) OwnerOf(base mem.Addr) (id int32, ok bool) {
 	if !a.InCommitted(base) {
 		return 0, false
 	}
-	bi := a.blockIndex(base)
-	if b := &a.blocks[bi]; b.owners != nil {
-		id = b.owners[a.ownerSlot(bi, b, base)]
+	if b := &a.blocks[a.blockIndex(base)]; b.owners != nil {
+		id = b.owners[ownerSlot(b, base)]
 	}
 	return id, id != 0
 }

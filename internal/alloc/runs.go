@@ -83,9 +83,8 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 		if err := a.storeWord(p, 0); err != nil {
 			return out, err
 		}
-		bi := a.blockIndex(p)
-		b := &a.blocks[bi]
-		bitSet(b.allocBits, int(p-a.blockBase(bi))/(words*mem.WordBytes))
+		b := &a.blocks[a.blockIndex(p)]
+		bitSet(b.allocBits, slotOf(int(p%mem.PageBytes), words))
 		b.liveSlots++
 		out = append(out, p)
 	}
@@ -108,9 +107,8 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	}
 	for i := len(run) - 1; i >= 0; i-- {
 		p := run[i]
-		bi := a.blockIndex(p)
-		b := &a.blocks[bi]
-		slot := int(p-a.blockBase(bi)) / (words * mem.WordBytes)
+		b := &a.blocks[a.blockIndex(p)]
+		slot := slotOf(int(p%mem.PageBytes), words)
 		bitClear(b.allocBits, slot)
 		if b.owners != nil {
 			b.owners[slot] = 0 // carved for a tenant, never consumed: no credit
@@ -176,12 +174,13 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 		if b.state != blockSmall {
 			return slotRef{}, nil, fmt.Errorf("alloc: integrity: %s slot %#x in non-small block %d (state %d)", from, uint32(p), bi, b.state)
 		}
-		span := int(b.objWords) * mem.WordBytes
-		off := int(p - a.blockBase(bi))
-		if off%span != 0 {
+		words := int(b.objWords)
+		off := int(p % mem.PageBytes)
+		slot := slotOf(off, words)
+		if off != slot*words*mem.WordBytes {
 			return slotRef{}, nil, fmt.Errorf("alloc: integrity: %s slot %#x misaligned for class %d", from, uint32(p), b.class)
 		}
-		return slotRef{bi: bi, slot: off / span}, b, nil
+		return slotRef{bi: bi, slot: slot}, b, nil
 	}
 
 	for _, p := range cached {

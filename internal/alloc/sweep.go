@@ -518,11 +518,11 @@ func (a *Allocator) Free(base mem.Addr) error {
 		return nil
 	case blockSmall:
 		words := int(b.objWords)
-		off := int(base - a.blockBase(bi))
-		if off%(words*mem.WordBytes) != 0 {
+		off := int(base % mem.PageBytes)
+		slot := slotOf(off, words)
+		if off != slot*words*mem.WordBytes {
 			return fmt.Errorf("alloc: Free(%#x): not an object base", uint32(base))
 		}
-		slot := off / (words * mem.WordBytes)
 		if slot >= slotsPerBlock(words) {
 			return fmt.Errorf("alloc: Free(%#x): not allocated", uint32(base))
 		}

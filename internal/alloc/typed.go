@@ -96,8 +96,7 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 	}
 	bi := a.blockIndex(p)
 	b := &a.blocks[bi]
-	slot := int(p-a.blockBase(bi)) / (words * mem.WordBytes)
-	bitSet(b.allocBits, slot)
+	bitSet(b.allocBits, slotOf(int(p%mem.PageBytes), words))
 	b.liveSlots++
 	a.stats.ObjectsAllocated++
 	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
@@ -164,19 +163,38 @@ const (
 	ScanTyped
 )
 
-// ScanInfo returns how to scan the object at base: its size, scan kind,
-// and (for ScanTyped) the layout descriptor.
-func (a *Allocator) ScanInfo(base mem.Addr) (words int, kind ScanKind, desc Descriptor) {
-	b := &a.blocks[a.blockIndex(base)]
-	words = int(b.objWords)
+// scanKind classifies how the marker scans the objects of block b. A
+// gray entry can outlive its object — an explicit Free (say, a tenant
+// eviction) may release the block mid-cycle — so a free or continuation
+// block must classify too: conservative, with objWords 0, it scans as
+// nothing.
+func (b *blockDesc) scanKind() ScanKind {
 	switch {
 	case b.atomic:
-		kind = ScanAtomic
+		return ScanAtomic
 	case b.state == blockSmall && b.desc >= 0:
-		kind = ScanTyped
-		desc = a.descriptors[b.desc]
-	default:
-		kind = ScanConservative
+		return ScanTyped
 	}
-	return words, kind, desc
+	return ScanConservative
+}
+
+// ScanInfo returns how to scan the object at base, which must be an
+// object base (as from FindObject, or a gray-set entry): its words, its
+// scan kind and, for ScanTyped, its layout descriptor, all from one
+// block-descriptor read. Objects never span extents, so ws is one
+// contiguous slice the marker scans through.
+func (a *Allocator) ScanInfo(base mem.Addr) (ws []mem.Word, kind ScanKind, desc Descriptor) {
+	e := &a.extents[0]
+	if len(a.extents) > 1 {
+		e = a.extentOfAddr(base)
+	}
+	off := base - e.seg.Base()
+	b := &a.blocks[e.startBlock+int(off/mem.PageBytes)]
+	i := int(off / mem.WordBytes)
+	ws = e.seg.Words()[i : i+int(b.objWords)]
+	kind = b.scanKind()
+	if kind == ScanTyped {
+		desc = a.descriptors[b.desc]
+	}
+	return ws, kind, desc
 }

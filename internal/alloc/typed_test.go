@@ -50,9 +50,9 @@ func TestAllocTypedBasics(t *testing.T) {
 			t.Fatalf("word %d = %#x", i, uint32(v))
 		}
 	}
-	words, kind, d := a.ScanInfo(p)
-	if words != 2 || kind != ScanTyped || !d.PointerAt(0) || d.PointerAt(1) {
-		t.Fatalf("ScanInfo = %d %v %+v", words, kind, d)
+	ws, kind, d := a.ScanInfo(p)
+	if len(ws) != 2 || kind != ScanTyped || !d.PointerAt(0) || d.PointerAt(1) {
+		t.Fatalf("ScanInfo = %d %v %+v", len(ws), kind, d)
 	}
 	if _, err := a.AllocTyped(DescID(77)); err == nil {
 		t.Error("alloc with unknown descriptor accepted")

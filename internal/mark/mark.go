@@ -105,7 +105,7 @@ type Marker struct {
 	bl    blacklist.List
 	stack []mem.Addr
 	stats Stats
-	// atomicMark switches Mark to the CAS-based MarkAtomic, required
+	// atomicMark makes MarkCandidate set mark bits by CAS, required
 	// when several markers share the heap (see parallel.go).
 	atomicMark bool
 	// atomicLoad switches ScanObject's heap-word reads to atomic loads,
@@ -174,7 +174,8 @@ func (m *Marker) MarkValue(v mem.Word) {
 	if lo, hi := m.heap.Hull(); p < lo || p >= hi {
 		return
 	}
-	base, ok := m.heap.FindObject(p, m.cfg.Policy == PointerInterior)
+	// One block lookup resolves, validates and marks the candidate.
+	obj, marked, ok := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior, m.atomicMark)
 	if !ok {
 		// "if p is in the vicinity of the heap: add p to blacklist"
 		if m.heap.InVicinity(p) {
@@ -184,29 +185,24 @@ func (m *Marker) MarkValue(v mem.Word) {
 		}
 		return
 	}
-	if p != base {
+	if p != obj.Base {
 		m.stats.InteriorResolved++
 	}
-	if m.atomicMark {
-		if !m.heap.MarkAtomic(base) {
-			return // already marked (possibly by another worker)
-		}
-	} else if !m.heap.Mark(base) {
-		return // already marked
+	if !marked {
+		return // already marked (possibly by another worker)
 	}
-	words, atomic := m.heap.ObjectSpan(base)
 	m.stats.ObjectsMarked++
-	m.stats.BytesMarked += uint64(words * mem.WordBytes)
+	m.stats.BytesMarked += uint64(obj.Words * mem.WordBytes)
 	if m.rec {
 		// This call set the mark bit (under parallel marking: won the
 		// CAS), so it alone records the object's first-marking parent.
-		m.recordWin(base, p, v)
+		m.recordWin(obj.Base, p, v)
 	}
-	if atomic {
+	if obj.Kind == alloc.ScanAtomic {
 		m.stats.AtomicSkipped++
 		return
 	}
-	m.stack = append(m.stack, base)
+	m.stack = append(m.stack, obj.Base)
 	if m.overflow != nil && len(m.stack) >= spillThreshold {
 		m.overflow(m)
 	}
@@ -290,11 +286,10 @@ func (m *Marker) MarkRootSegments(space *mem.AddressSpace) {
 // candidates, regardless of the object's own mark state; atomic
 // objects scan as nothing.
 func (m *Marker) ScanObject(base mem.Addr) {
-	words, kind, desc := m.heap.ScanInfo(base)
+	ws, kind, desc := m.heap.ScanInfo(base)
 	if kind == alloc.ScanAtomic {
 		return
 	}
-	ws := m.heap.ObjectWords(base, words)
 	if kind == alloc.ScanTyped {
 		if m.rec {
 			m.org = provOrigin{kind: RootNone, area: base, declared: true}
@@ -318,7 +313,7 @@ func (m *Marker) ScanObject(base mem.Addr) {
 	if m.rec {
 		m.org = provOrigin{kind: RootNone, area: base}
 	}
-	m.stats.FieldsScanned += uint64(words)
+	m.stats.FieldsScanned += uint64(len(ws))
 	if m.atomicLoad {
 		for i := range ws {
 			if w := mem.LoadWordAtomic(&ws[i]); w != 0 {

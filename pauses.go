@@ -10,7 +10,9 @@ import (
 
 // PauseRow is one collector mode's pause profile (E16).
 type PauseRow struct {
-	Mode         string
+	Mode string
+	// Collections counts the cycles completed during the churn loop,
+	// after the settle collection: the ones whose pauses MaxPause saw.
 	Collections  int
 	MaxPause     time.Duration // longest single Allocate call
 	MeanPause    time.Duration // mean over calls that exceeded the median
@@ -56,7 +58,7 @@ func Pauses(opt PausesOptions) ([]PauseRow, *stats.Table, error) {
 		rows = append(rows, *row)
 	}
 	tab := stats.NewTable("Pause times: stop-the-world vs incremental vs generational",
-		"Mode", "Collections", "Worst pause", "Total GC-bearing time", "Live at end")
+		"Mode", "Churn collections", "Worst pause", "Total GC-bearing time", "Live at end")
 	for _, r := range rows {
 		tab.AddF(r.Mode, r.Collections,
 			fmt.Sprintf("%.2fms", float64(r.MaxPause.Microseconds())/1000),
@@ -88,6 +90,7 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 		return nil, err
 	}
 	w.Collect() // settle (and, if generational, tenure) the structure
+	settled := w.Collections()
 
 	var maxPause, total time.Duration
 	for i := 0; i < opt.Churn; i++ {
@@ -104,7 +107,7 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 	st := w.Heap.Stats()
 	return &PauseRow{
 		Mode:         label,
-		Collections:  w.Collections(),
+		Collections:  w.Collections() - settled,
 		MaxPause:     maxPause,
 		TotalGCWork:  total,
 		FinalLiveObj: st.ObjectsLive,

@@ -337,22 +337,26 @@ func TestDegreesOfConservatismExperiment(t *testing.T) {
 }
 
 func TestPausesExperiment(t *testing.T) {
-	rows, tab, err := Pauses(PausesOptions{LiveObjects: 150000, Churn: 200000, Seed: 1})
+	// 600k two-word allocations are 4.8 MB of churn: more than twice
+	// the stop-the-world trigger (half the ~4 MiB heap the live list
+	// settles in), so every mode collects inside the timed loop and the
+	// worst pauses compare collection work, not scheduler noise.
+	rows, tab, err := Pauses(PausesOptions{LiveObjects: 150000, Churn: 600000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stw, inc := rows[0], rows[1]
-	// Every mode must retain the long-lived structure and actually
-	// collect; these are the correctness claims. The pause *ordering*
-	// is asserted only when the stop-the-world pause is large enough to
-	// stand clear of scheduler noise (wall-clock tests are otherwise
-	// flaky); the full-scale numbers live in EXPERIMENTS.md.
+	// Every mode must retain the long-lived structure and collect while
+	// the mutator churns; these are the correctness claims. The pause
+	// *ordering* is asserted only when the stop-the-world pause is large
+	// enough to stand clear of scheduler noise (wall-clock tests are
+	// otherwise flaky); the full-scale numbers live in EXPERIMENTS.md.
 	for _, r := range rows {
 		if r.FinalLiveObj < 150000 {
 			t.Errorf("%s lost live data: %d", r.Mode, r.FinalLiveObj)
 		}
 		if r.Collections == 0 {
-			t.Errorf("%s never collected", r.Mode)
+			t.Errorf("%s never collected during churn", r.Mode)
 		}
 	}
 	if stw.MaxPause > 4*time.Millisecond && inc.MaxPause*2 >= stw.MaxPause {
